@@ -218,6 +218,11 @@ func (l *loader) resolvePatterns(patterns []string) ([]string, error) {
 			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 				return filepath.SkipDir
 			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != base && err == nil {
+				// A nested module is not part of this one; like go list,
+				// "./..." stops at its root.
+				return filepath.SkipDir
+			}
 			if hasGoFiles(path) {
 				dirs[path] = true
 			}

@@ -439,3 +439,36 @@ func TestSelfHost(t *testing.T) {
 		t.Errorf("self-hosting finding: %s", f)
 	}
 }
+
+// TestNestedModuleSkipped: like go list, "./..." stops at the root of a
+// nested module, whose packages belong to another module.
+func TestNestedModuleSkipped(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":        "module outer\n\ngo 1.22\n",
+		"a/a.go":        "package a\n\n// F does nothing.\nfunc F() {}\n",
+		"inner/go.mod":  "module outer/inner\n\ngo 1.22\n",
+		"inner/i/i.go":  "package i\n\n// F panics.\nfunc F() { panic(\"inner\") }\n",
+		"inner/main.go": "package inner\n\n// G panics.\nfunc G() { panic(\"inner\") }\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enabled, err := parseRules("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := Lint(dir, []string{"./..."}, enabled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("finding from the nested module: %s", f)
+	}
+}

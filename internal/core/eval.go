@@ -33,11 +33,20 @@ import (
 // and xfer maps each compiled fixed-domain entry to its slot in the
 // subtree's variable layout (cq.AtomsVars order over the subtree atoms), so
 // a candidate's relevant bindings transfer as raw IDs.
+//
+// vars, varSlots and fixedSlots serve enumeration, which carries
+// homomorphisms as ID rows over the tree's rowLayout: vars is
+// cq.AtomsVars(atoms), the engine projection and the compiled variable
+// order; varSlots[i] is the row slot of vars[i]; fixedSlots[i] is the row
+// slot of the i-th compiled fixed-domain variable.
 type extUnit struct {
-	nodes    []*Node
-	atoms    []cq.Atom
-	compiled *cq.CompiledAtoms
-	xfer     []int
+	nodes      []*Node
+	atoms      []cq.Atom
+	compiled   *cq.CompiledAtoms
+	xfer       []int
+	vars       []string
+	varSlots   []int
+	fixedSlots []int
 }
 
 // extensionUnits computes the extension units of the subtree s. The result
@@ -85,14 +94,17 @@ func (p *PatternTree) computeExtensionUnits(s Subtree, svars []string) []extUnit
 				}
 			}
 			u := extUnit{
-				nodes:    chainNodes,
-				atoms:    chainAtoms,
-				compiled: cq.CompileAtoms(chainAtoms, fdom),
-				xfer:     make([]int, len(fdom)),
+				nodes:      chainNodes,
+				atoms:      chainAtoms,
+				compiled:   cq.CompileAtoms(chainAtoms, fdom),
+				xfer:       make([]int, len(fdom)),
+				vars:       cq.AtomsVars(chainAtoms),
+				fixedSlots: p.rows().slots(fdom),
 			}
 			for i, v := range fdom {
 				u.xfer[i] = slotInS[v]
 			}
+			u.varSlots = p.rows().slots(u.vars)
 			units = append(units, u)
 			return
 		}
@@ -101,7 +113,7 @@ func (p *PatternTree) computeExtensionUnits(s Subtree, svars []string) []extUnit
 		}
 	}
 	for _, n := range p.nodes {
-		if !s[n.id] && n.parent != nil && s[n.parent.id] {
+		if !s.Has(n.id) && n.parent != nil && s.Has(n.parent.id) {
 			dfs(n, nil, nil)
 		}
 	}
@@ -172,15 +184,15 @@ func (p *PatternTree) evalBand(h cq.Mapping) (tmin, tmax Subtree, ok bool) {
 	free := p.FreeSet()
 	for v := range h {
 		if !free[v] {
-			return nil, nil, false
+			return Subtree{}, Subtree{}, false
 		}
 	}
 	tmin, ok = p.MinimalSubtreeContaining(h.Domain())
 	if !ok {
-		return nil, nil, false
+		return Subtree{}, Subtree{}, false
 	}
 	if len(p.SubtreeFreeVars(tmin)) != len(h) {
-		return nil, nil, false
+		return Subtree{}, Subtree{}, false
 	}
 	allowed := make(map[string]bool, len(h))
 	for v := range h {
@@ -239,41 +251,42 @@ func (p *PatternTree) evalNaive(d *db.Database, h cq.Mapping, st *obs.Stats, m *
 
 // enumerateBand visits every rooted subtree s with base ⊆ s ⊆ within.
 func (p *PatternTree) enumerateBand(base, within Subtree, visit func(Subtree) bool) {
+	// Frontier-based enumeration: at each step, either close the frontier
+	// node (never include it or its descendants) or include it and push its
+	// children. Frontier nodes are processed in a fixed order, so every
+	// downward-closed set in the band is visited exactly once.
 	var frontier []*Node
 	for _, n := range p.nodes {
-		if !base[n.id] && within[n.id] && n.parent != nil && base[n.parent.id] {
+		if !base.Has(n.id) && within.Has(n.id) && n.parent != nil && base.Has(n.parent.id) {
 			frontier = append(frontier, n)
 		}
 	}
-	cur := base.Clone()
 	stopped := false
-	var rec func(i int, frontier []*Node)
-	rec = func(i int, frontier []*Node) {
+	var rec func(cur Subtree, i int, frontier []*Node)
+	rec = func(cur Subtree, i int, frontier []*Node) {
 		if stopped {
 			return
 		}
 		if i == len(frontier) {
-			if !visit(cur.Clone()) {
+			if !visit(cur) {
 				stopped = true
 			}
 			return
 		}
 		n := frontier[i]
-		rec(i+1, frontier)
+		rec(cur, i+1, frontier)
 		if stopped {
 			return
 		}
-		cur[n.id] = true
 		next := append([]*Node(nil), frontier[i+1:]...)
 		for _, c := range n.children {
-			if within[c.id] {
+			if within.Has(c.id) {
 				next = append(next, c)
 			}
 		}
-		rec(0, next)
-		delete(cur, n.id)
+		rec(cur.With(n.id), 0, next)
 	}
-	rec(0, frontier)
+	rec(base, 0, frontier)
 }
 
 // PartialEval decides PARTIAL-EVAL (Section 3.3): is there h' ∈ p(D) with
@@ -321,7 +334,7 @@ func (p *PatternTree) PartialEvalEnumerate(d *db.Database, h cq.Mapping) bool {
 		return false
 	}
 	found := false
-	p.enumerateExtensions(tmin, func(s Subtree) bool {
+	p.enumerateBand(tmin, p.FullSubtree(), func(s Subtree) bool {
 		if cq.Satisfiable(p.SubtreeAtoms(s), d, h) {
 			found = true
 			return false
@@ -387,8 +400,9 @@ func (p *PatternTree) EvalInterface(d *db.Database, h cq.Mapping, eng cqeval.Eng
 // tractable with c-bounded interface and eng is decomposition-guided
 // (Theorems 6 and 7). The evaluator is internally sequential — its row
 // loops short-circuit and share the memo table — so parallelism reaches it
-// only through the engine's plan phases.
-func (p *PatternTree) evalInterface(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
+// only through the engine's plan phases. The memo counters go to st, the
+// Solve call's resolved sink, which a foreign engine does not carry.
+func (p *PatternTree) evalInterface(d *db.Database, h cq.Mapping, eng cqeval.Engine, st *obs.Stats) bool {
 	tmin, tmax, ok := p.evalBand(h)
 	if !ok {
 		return false
@@ -398,7 +412,7 @@ func (p *PatternTree) evalInterface(d *db.Database, h cq.Mapping, eng cqeval.Eng
 		d:    d,
 		h:    h,
 		eng:  eng,
-		st:   cqeval.StatsOf(eng),
+		st:   st,
 		gm:   cqeval.MeterOf(eng),
 		tmin: tmin,
 		tmax: tmax,
@@ -412,7 +426,7 @@ type biEvaluator struct {
 	d          *db.Database
 	h          cq.Mapping
 	eng        cqeval.Engine
-	st         *obs.Stats   // the engine's sink, shared for memo counters
+	st         *obs.Stats   // the Solve call's sink, for the memo counters
 	gm         *guard.Meter // the engine's meter, checkpointed per memo query
 	tmin, tmax Subtree
 	memo       map[string]bool
@@ -548,11 +562,11 @@ func (e *biEvaluator) childrenOK(n *Node, full cq.Mapping) bool {
 	for _, c := range n.children {
 		iface := e.childInterface(n, c, full)
 		switch {
-		case e.tmin[c.id]:
+		case e.tmin.Has(c.id):
 			if !e.required(c, iface) {
 				return false
 			}
-		case e.tmax[c.id]:
+		case e.tmax.Has(c.id):
 			if !e.safe(c, iface) {
 				return false
 			}

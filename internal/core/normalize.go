@@ -92,56 +92,20 @@ func (p *PatternTree) ExplainNodes(d *db.Database, eng cqeval.Engine) []obs.Plan
 
 // EvaluateFunc streams p(D): visit receives each answer once; returning
 // false stops the enumeration early. Equivalent to Evaluate but without
-// materializing the answer set — answers still arrive deduplicated.
+// materializing the answer set — answers still arrive deduplicated, in
+// discovery order rather than canonical order.
 //
 //lint:ignore R7 streaming variant: Solve materializes its Result, so there is no Solve equivalent to delegate to
 func (p *PatternTree) EvaluateFunc(d *db.Database, visit func(cq.Mapping) bool) {
-	emitted := cq.NewMappingSet()
-	visited := make(map[string]bool)
-	stopped := false
-	var expand func(s Subtree, h cq.Mapping)
-	expand = func(s Subtree, h cq.Mapping) {
-		if stopped {
-			return
-		}
-		key := s.Key() + "|" + h.Key()
-		if visited[key] {
-			return
-		}
-		visited[key] = true
-		extendable := false
-		for _, u := range p.extensionUnits(s) {
-			var exts []cq.Mapping
-			cq.Homomorphisms(u.atoms, d, h, func(g cq.Mapping) bool {
-				exts = append(exts, g.Clone())
-				return true
-			})
-			if len(exts) == 0 {
-				continue
-			}
-			extendable = true
-			next := s.Clone()
-			for _, n := range u.nodes {
-				next[n.id] = true
-			}
-			for _, g := range exts {
-				expand(next, h.Union(g))
-				if stopped {
-					return
-				}
-			}
-		}
-		if !extendable {
-			answer := h.Restrict(p.free)
-			if emitted.Add(answer) {
-				if !visit(answer) {
-					stopped = true
-				}
-			}
-		}
-	}
-	cq.Homomorphisms(p.root.atoms, d, nil, func(h cq.Mapping) bool {
-		expand(p.RootSubtree(), h.Clone())
-		return !stopped
+	l := p.rows()
+	emitted := newRowSet(len(l.freeSlots))
+	x := p.newExpansion(d, nil, nil, nil, func(ans []uint32) bool {
+		return !emitted.add(ans) || visit(l.answerMapping(d.Dict(), ans))
 	})
+	for _, h := range p.rootRows(d, nil, nil, nil) {
+		if x.stopped {
+			return
+		}
+		x.expand(p.RootSubtree(), h)
+	}
 }

@@ -222,11 +222,7 @@ func (p *PatternTree) solveAttempt(ctx context.Context, d *db.Database, mode Mod
 		if err != nil {
 			return Result{}, err
 		}
-		if mode == ModeMaximal {
-			res = Result{Answers: answers.Maximal()}
-		} else {
-			res = Result{Answers: answers.All()}
-		}
+		res = Result{Answers: p.answers(d, answers, mode == ModeMaximal)}
 		if m.Truncated() {
 			// The answer cap keeps the partial set: marked Degraded under
 			// Fallback (or an outer shared-meter caller), paired with the
@@ -252,7 +248,7 @@ func (p *PatternTree) solveAttempt(ctx context.Context, d *db.Database, mode Mod
 		}
 		switch mode {
 		case ModeExact:
-			return Result{Holds: p.evalInterface(d, opts.Mapping, eng)}, nil
+			return Result{Holds: p.evalInterface(d, opts.Mapping, eng, st)}, nil
 		case ModePartial:
 			return Result{Holds: p.partialEval(d, opts.Mapping, eng)}, nil
 		default:
@@ -260,115 +256,4 @@ func (p *PatternTree) solveAttempt(ctx context.Context, d *db.Database, mode Mod
 		}
 	}
 	return Result{}, fmt.Errorf("core: unknown solve mode %v", mode)
-}
-
-// enumerateSolve computes the full answer set of Definition 2. Root-node
-// homomorphisms are materialized first and then expanded downward along
-// extension units; with a parallel pool each root candidate expands on its
-// own worker with private visited/answer state, and the per-candidate sets
-// merge in candidate order. Subtree/mapping keys of distinct root
-// candidates never collide (every key embeds the root bindings), so the
-// per-candidate dedup maps partition the shared sequential map exactly:
-// the expansion work — and its counters — are identical at every
-// parallelism level. The guard meter charges enumerated homomorphisms and
-// caps the answer set; when the cap fires the remaining candidates are
-// skipped and the partial set is returned truncated.
-func (p *PatternTree) enumerateSolve(ctx context.Context, d *db.Database, eng cqeval.Engine, st *obs.Stats, pool *par.Pool, m *guard.Meter) (*cq.MappingSet, error) {
-	var roots []cq.Mapping
-	if eng == nil {
-		cq.HomomorphismsObs(p.root.atoms, d, nil, st, m, func(h cq.Mapping) bool {
-			m.ChargeTuples(1)
-			roots = append(roots, h.Clone())
-			return true
-		})
-	} else {
-		roots = eng.Project(p.root.atoms, d, nil, cq.AtomsVars(p.root.atoms))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if !pool.Parallel() || len(roots) <= 1 {
-		answers := cq.NewMappingSet()
-		visited := make(map[string]bool)
-		for _, h := range roots {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if m.Truncated() {
-				break
-			}
-			p.expandSolve(d, eng, st, visited, answers, p.RootSubtree(), h, m)
-		}
-		return answers, nil
-	}
-	sets := par.Map(pool, len(roots), func(i int) *cq.MappingSet {
-		answers := cq.NewMappingSet()
-		p.expandSolve(d, eng, st, make(map[string]bool), answers, p.RootSubtree(), roots[i], m)
-		return answers
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	merged := cq.NewMappingSet()
-	for _, set := range sets {
-		for _, h := range set.All() {
-			merged.Add(h)
-		}
-	}
-	return merged, nil
-}
-
-// expandSolve grows the subtree/homomorphism pair (s, h) along extension
-// units until no extension is possible, collecting the free projections of
-// the maximal homomorphisms. With eng == nil the node CQs go to the
-// backtracking solver (the historical Evaluate path); otherwise to the
-// engine (the historical EvaluateWith path). The meter checkpoints each
-// expansion, charges enumerated extension homomorphisms, and gates answer
-// collection on the answer budget.
-func (p *PatternTree) expandSolve(d *db.Database, eng cqeval.Engine, st *obs.Stats, visited map[string]bool, answers *cq.MappingSet, s Subtree, h cq.Mapping, m *guard.Meter) {
-	m.Checkpoint()
-	if m.Truncated() {
-		return
-	}
-	key := s.Key() + "|" + h.Key()
-	if visited[key] {
-		return
-	}
-	visited[key] = true
-	extendable := false
-	for _, u := range p.extensionUnits(s) {
-		st.Inc(obs.CtrExtensionUnits)
-		var exts []cq.Mapping
-		if eng == nil {
-			cq.HomomorphismsObs(u.atoms, d, h, st, m, func(g cq.Mapping) bool {
-				m.ChargeTuples(1)
-				exts = append(exts, g.Clone())
-				return true
-			})
-		} else {
-			exts = eng.Project(u.atoms, d, h, cq.AtomsVars(u.atoms))
-		}
-		if len(exts) == 0 {
-			continue
-		}
-		extendable = true
-		next := s.Clone()
-		for _, n := range u.nodes {
-			next[n.id] = true
-		}
-		for _, g := range exts {
-			p.expandSolve(d, eng, st, visited, answers, next, h.Union(g), m)
-		}
-	}
-	if !extendable {
-		row := h.Restrict(p.free)
-		if m.Active() {
-			// Consume answer budget only for rows new to this candidate's
-			// set; refusals mark the enumeration truncated.
-			if !answers.Contains(row) && !m.TryAnswer() {
-				return
-			}
-		}
-		answers.Add(row)
-	}
 }

@@ -9,7 +9,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -53,6 +55,11 @@ type PatternTree struct {
 	root  *Node
 	nodes []*Node // preorder; nodes[i].id == i
 	free  []string
+	// layout is the slot layout of the ID rows enumeration carries, built
+	// on first use by rows(): parsing builds many trees that are never
+	// enumerated.
+	layoutOnce sync.Once
+	layout     rowLayout
 	// subtrees memoizes per-subtree derived structure (atoms, vars,
 	// extension units): subtree-local evaluation recomputes these for the
 	// same subtree at every band/extension step, and the tree is immutable,
@@ -79,20 +86,14 @@ type subtreeInfo struct {
 	units atomic.Pointer[[]extUnit]
 }
 
-// subtreeKey returns a canonical comparable key for the node-id set: a
-// uint64 bitmask for trees of at most 64 nodes (the common case), else the
-// sorted-id string rendering.
+// subtreeKey returns a canonical comparable key for the node-id set: the
+// bitset word itself for trees of at most 64 nodes (the common case), else
+// the packed words as a string.
 func (p *PatternTree) subtreeKey(s Subtree) any {
-	if len(p.nodes) <= 64 {
-		var m uint64
-		for id, in := range s {
-			if in {
-				m |= 1 << uint(id)
-			}
-		}
-		return m
+	if s.hi == nil {
+		return s.lo
 	}
-	return s.Key()
+	return string(s.appendKey(nil))
 }
 
 // subtreeInfoOf returns the memoized derived structure of s, computing and
@@ -104,7 +105,7 @@ func (p *PatternTree) subtreeInfoOf(s Subtree) *subtreeInfo {
 	}
 	var atoms []cq.Atom
 	for _, n := range p.nodes {
-		if s[n.id] {
+		if s.Has(n.id) {
 			atoms = append(atoms, n.atoms...)
 		}
 	}
@@ -315,40 +316,75 @@ func (p *PatternTree) String() string {
 }
 
 // Subtree is a rooted subtree T' of T: a set of node ids containing the root
-// and closed under taking parents.
-type Subtree map[int]bool
-
-// Clone returns a copy of the subtree set.
-func (s Subtree) Clone() Subtree {
-	out := make(Subtree, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
+// and closed under taking parents. It is a bitset over preorder ids: ids
+// below 64 live in one word, so on trees of at most 64 nodes a Subtree is
+// a plain value; larger trees keep the remaining ids in further words,
+// which are copied on write. The zero value is the empty set.
+type Subtree struct {
+	lo uint64
+	hi []uint64 // ids 64 and up; nil on trees of at most 64 nodes
 }
 
-// Key renders the subtree as a canonical string usable as a map key.
-func (s Subtree) Key() string {
-	ids := make([]int, 0, len(s))
-	for id := range s {
-		ids = append(ids, id)
+// Has reports whether node id is in the subtree.
+func (s Subtree) Has(id int) bool {
+	if id < 64 {
+		return s.lo&(1<<uint(id)) != 0
 	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%d,", id)
+	w := id/64 - 1
+	return w < len(s.hi) && s.hi[w]&(1<<uint(id%64)) != 0
+}
+
+// With returns the subtree with node id added; s is unchanged.
+func (s Subtree) With(id int) Subtree {
+	if id < 64 {
+		s.lo |= 1 << uint(id)
+		return s
 	}
-	return b.String()
+	w := id/64 - 1
+	hi := make([]uint64, max(len(s.hi), w+1))
+	copy(hi, s.hi)
+	hi[w] |= 1 << uint(id%64)
+	s.hi = hi
+	return s
+}
+
+// Len returns the number of nodes in the subtree.
+func (s Subtree) Len() int {
+	n := bits.OnesCount64(s.lo)
+	for _, w := range s.hi {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// appendKey appends the subtree's fixed-width packed form to dst: two
+// 32-bit halves per word, in the db.AppendRowKey layout. Within one tree
+// every subtree packs to the same width.
+func (s Subtree) appendKey(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, s.lo)
+	for _, w := range s.hi {
+		dst = binary.BigEndian.AppendUint64(dst, w)
+	}
+	return dst
 }
 
 // RootSubtree returns the subtree consisting of the root only.
-func (p *PatternTree) RootSubtree() Subtree { return Subtree{0: true} }
+func (p *PatternTree) RootSubtree() Subtree { return p.emptySubtree().With(0) }
+
+// emptySubtree returns the empty node set sized for p, so every subtree of
+// p packs to the same key width.
+func (p *PatternTree) emptySubtree() Subtree {
+	if len(p.nodes) <= 64 {
+		return Subtree{}
+	}
+	return Subtree{hi: make([]uint64, (len(p.nodes)-1)/64)}
+}
 
 // FullSubtree returns the subtree consisting of all nodes.
 func (p *PatternTree) FullSubtree() Subtree {
-	s := make(Subtree, len(p.nodes))
+	s := p.emptySubtree()
 	for _, n := range p.nodes {
-		s[n.id] = true
+		s = s.With(n.id)
 	}
 	return s
 }
@@ -398,46 +434,7 @@ func (p *PatternTree) SubtreeProjectedCQ(s Subtree) *cq.CQ {
 // root-only subtree. visit returning false stops the enumeration. The number
 // of subtrees can be exponential in the size of T.
 func (p *PatternTree) EnumerateSubtrees(visit func(Subtree) bool) {
-	p.enumerateExtensions(p.RootSubtree(), visit)
-}
-
-// enumerateExtensions visits base and every rooted subtree extending base.
-func (p *PatternTree) enumerateExtensions(base Subtree, visit func(Subtree) bool) {
-	// Frontier-based enumeration: at each step, either close the frontier
-	// node (never include it or its descendants) or include it and push its
-	// children. We process frontier nodes in a fixed order to enumerate
-	// every downward-closed superset exactly once.
-	var frontier []*Node
-	for _, n := range p.nodes {
-		if !base[n.id] && n.parent != nil && base[n.parent.id] {
-			frontier = append(frontier, n)
-		}
-	}
-	cur := base.Clone()
-	stopped := false
-	var rec func(i int, frontier []*Node)
-	rec = func(i int, frontier []*Node) {
-		if stopped {
-			return
-		}
-		if i == len(frontier) {
-			if !visit(cur.Clone()) {
-				stopped = true
-			}
-			return
-		}
-		n := frontier[i]
-		// Exclude n (and thus its whole subtree).
-		rec(i+1, frontier)
-		if stopped {
-			return
-		}
-		// Include n; its children join the remaining frontier.
-		cur[n.id] = true
-		rec(0, append(append([]*Node(nil), frontier[i+1:]...), n.children...))
-		delete(cur, n.id)
-	}
-	rec(0, frontier)
+	p.enumerateBand(p.RootSubtree(), p.FullSubtree(), visit)
 }
 
 // CountSubtrees returns the number of subtrees of T rooted in r, capped at
@@ -461,10 +458,10 @@ func (p *PatternTree) MinimalSubtreeContaining(vars []string) (Subtree, bool) {
 	for _, v := range vars {
 		top := p.topmostMentioning(v)
 		if top == nil {
-			return nil, false
+			return Subtree{}, false
 		}
 		for n := top; n != nil; n = n.parent {
-			s[n.id] = true
+			s = s.With(n.id)
 		}
 	}
 	return s, true
@@ -489,7 +486,7 @@ func (p *PatternTree) topmostMentioning(v string) *Node {
 // allowed. base must itself satisfy the condition.
 func (p *PatternTree) MaximalSubtreeWithoutNewFree(base Subtree, allowed map[string]bool) Subtree {
 	free := p.FreeSet()
-	s := base.Clone()
+	s := base
 	ok := func(n *Node) bool {
 		for _, v := range n.Vars() {
 			if free[v] && !allowed[v] {
@@ -502,11 +499,11 @@ func (p *PatternTree) MaximalSubtreeWithoutNewFree(base Subtree, allowed map[str
 	for changed {
 		changed = false
 		for _, n := range p.nodes {
-			if s[n.id] || n.parent == nil || !s[n.parent.id] {
+			if s.Has(n.id) || n.parent == nil || !s.Has(n.parent.id) {
 				continue
 			}
 			if ok(n) {
-				s[n.id] = true
+				s = s.With(n.id)
 				changed = true
 			}
 		}

@@ -127,18 +127,18 @@ func TestSubtreeCQs(t *testing.T) {
 func TestMinimalSubtree(t *testing.T) {
 	p := musicTree(t, "x", "y", "z", "zp")
 	s, ok := p.MinimalSubtreeContaining([]string{"z"})
-	if !ok || len(s) != 2 {
+	if !ok || s.Len() != 2 {
 		t.Fatalf("minimal subtree for z = %v", s)
 	}
 	s, ok = p.MinimalSubtreeContaining([]string{"x"})
-	if !ok || len(s) != 1 {
+	if !ok || s.Len() != 1 {
 		t.Fatalf("minimal subtree for x = %v", s)
 	}
 	if _, ok = p.MinimalSubtreeContaining([]string{"missing"}); ok {
 		t.Fatal("missing variable accepted")
 	}
 	s, ok = p.MinimalSubtreeContaining(nil)
-	if !ok || len(s) != 1 {
+	if !ok || s.Len() != 1 {
 		t.Fatal("empty set should give the root subtree")
 	}
 }
@@ -148,12 +148,12 @@ func TestMaximalSubtreeWithoutNewFree(t *testing.T) {
 	base := p.RootSubtree()
 	// Allowing only x, y blocks both children (each adds a free var).
 	s := p.MaximalSubtreeWithoutNewFree(base, map[string]bool{"x": true, "y": true})
-	if len(s) != 1 {
+	if s.Len() != 1 {
 		t.Fatalf("expected root only, got %v", s)
 	}
 	// Allowing z too admits the first child.
 	s = p.MaximalSubtreeWithoutNewFree(base, map[string]bool{"x": true, "y": true, "z": true})
-	if len(s) != 2 {
+	if s.Len() != 2 {
 		t.Fatalf("expected root + rating child, got %v", s)
 	}
 }

@@ -109,6 +109,8 @@ type SatChecker struct {
 	fixedBuf []uint32
 	found    bool
 	visit    func() bool
+	each     func(IDAssignment) bool // EachAt's visit, called by eachFn
+	eachFn   func() bool
 }
 
 // Satisfiable is SatisfiableIDs evaluated through the checker's reusable
@@ -120,6 +122,36 @@ func (k *SatChecker) Satisfiable(c *CompiledAtoms, d *db.Database, fixedIDs []ui
 			return false
 		}
 	}
+	k.found = false
+	k.run(c, d, fixedIDs, st, gm, k.visit)
+	return k.found
+}
+
+// EachAt enumerates the homomorphisms of the compiled atoms to d that bind
+// fixed-domain variable i to ids[at[i]], invoking visit with the solver
+// assignment over c's variables (cq.AtomsVars order). The search, its work
+// counters and its guard charges are those of HomomorphismsIDsObs with the
+// equivalent string mapping, except that the fixed bindings arrive as IDs
+// and cost no dictionary probes. The view aliases the checker's buffers and
+// is valid only during visit; visit returning false stops the enumeration.
+func (k *SatChecker) EachAt(c *CompiledAtoms, d *db.Database, ids []uint32, at []int, st *obs.Stats, gm *guard.Meter, visit func(IDAssignment) bool) {
+	k.fixedBuf = k.fixedBuf[:0]
+	for _, i := range at {
+		k.fixedBuf = append(k.fixedBuf, ids[i])
+	}
+	if k.eachFn == nil {
+		k.eachFn = func() bool {
+			return k.each(IDAssignment{Vars: k.ctx.vars, IDs: k.ctx.assign, Bound: k.ctx.bound})
+		}
+	}
+	k.each = visit
+	k.run(c, d, k.fixedBuf, st, gm, k.eachFn)
+	k.each = nil
+}
+
+// run points the checker's context at c with the fixed bindings and runs
+// the search.
+func (k *SatChecker) run(c *CompiledAtoms, d *db.Database, fixedIDs []uint32, st *obs.Stats, gm *guard.Meter, visit func() bool) {
 	ctx := &k.ctx
 	ctx.atoms = c.atoms
 	ctx.d = d
@@ -138,9 +170,7 @@ func (k *SatChecker) Satisfiable(c *CompiledAtoms, d *db.Database, fixedIDs []ui
 		ctx.assign[sl] = fixedIDs[i]
 		ctx.bound[sl] = true
 	}
-	k.found = false
-	ctx.run(k.visit)
-	return k.found
+	ctx.run(visit)
 }
 
 // SatisfiableAt is Satisfiable with the fixed bindings gathered from ids by

@@ -1,7 +1,7 @@
 package cq
 
 import (
-	"sort"
+	"slices"
 
 	"wdpt/internal/db"
 	"wdpt/internal/guard"
@@ -111,20 +111,30 @@ func SortIDRows(data []uint32, w int) []uint32 {
 		return data
 	}
 	n := len(data) / w
+	compare := func(a, b int) int {
+		ra, rb := data[a*w:a*w+w], data[b*w:b*w+w]
+		for k, id := range ra {
+			if id != rb[k] {
+				if id < rb[k] {
+					return -1
+				}
+				return 1
+			}
+		}
+		return 0
+	}
+	sorted := true
+	for i := 1; i < n && sorted; i++ {
+		sorted = compare(i-1, i) <= 0
+	}
+	if sorted {
+		return data
+	}
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		ra := data[perm[a]*w : perm[a]*w+w]
-		rb := data[perm[b]*w : perm[b]*w+w]
-		for k := 0; k < w; k++ {
-			if ra[k] != rb[k] {
-				return ra[k] < rb[k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(perm, compare)
 	out := make([]uint32, 0, len(data))
 	for _, i := range perm {
 		out = append(out, data[i*w:i*w+w]...)

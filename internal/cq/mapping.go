@@ -1,8 +1,12 @@
 package cq
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
+
+	"wdpt/internal/db"
 )
 
 // Mapping is a partial mapping h : X -> U from variable names to constants.
@@ -144,39 +148,147 @@ func (h Mapping) String() string {
 // then by term value; a mapping whose entries are a strict prefix of the
 // other's sorts first. It returns -1, 0, or +1.
 func CompareMappings(a, b Mapping) int {
-	da, db := a.Domain(), b.Domain()
-	for i := 0; i < len(da) && i < len(db); i++ {
-		if da[i] != db[i] {
-			if da[i] < db[i] {
-				return -1
-			}
-			return 1
+	return compareEntries(a.entries(nil), b.entries(nil))
+}
+
+// entries appends h's comparison data to dst: its domain in sorted order,
+// then the values in the same order.
+func (h Mapping) entries(dst []string) []string {
+	keys := dst[len(dst):] // gathered in dst's spare capacity, if any
+	for k := range h {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, keys...)
+	for _, k := range keys {
+		dst = append(dst, h[k])
+	}
+	return dst
+}
+
+// compareEntries is CompareMappings over comparison data built by entries.
+func compareEntries(a, b []string) int {
+	na, nb := len(a)/2, len(b)/2
+	for i := 0; i < na && i < nb; i++ {
+		if c := strings.Compare(a[i], b[i]); c != 0 {
+			return c
 		}
-		if va, vb := a[da[i]], b[db[i]]; va != vb {
-			if va < vb {
-				return -1
-			}
-			return 1
+		if c := strings.Compare(a[na+i], b[nb+i]); c != 0 {
+			return c
 		}
+	}
+	return cmp.Compare(na, nb)
+}
+
+// CompareIDRows is CompareMappings over dictionary-encoded rows. Both rows
+// are indexed by slot over one variable order sorted by name, and db.NoID
+// marks an unbound slot, so a row's bound slots list its entries in domain
+// order. Slot order stands in for name order, and values compare as the
+// terms of dict: ID order equals term order only on a sealed dictionary,
+// so the terms are compared, not the IDs.
+func CompareIDRows(dict *db.Dict, a, b []uint32) int {
+	i, j := nextBound(a, 0), nextBound(b, 0)
+	for i < len(a) && j < len(b) {
+		if i != j {
+			// The mapping whose next variable sorts first has the smaller
+			// entry at this position.
+			return cmp.Compare(i, j)
+		}
+		if a[i] != b[j] {
+			return strings.Compare(dict.Term(a[i]), dict.Term(b[j]))
+		}
+		i, j = nextBound(a, i+1), nextBound(b, j+1)
 	}
 	switch {
-	case len(da) < len(db):
-		return -1
-	case len(da) > len(db):
+	case i < len(a):
 		return 1
+	case j < len(b):
+		return -1
 	}
 	return 0
+}
+
+// nextBound returns the first slot at or after i that is bound in row, or
+// len(row).
+func nextBound(row []uint32, i int) int {
+	for i < len(row) && row[i] == db.NoID {
+		i++
+	}
+	return i
 }
 
 // SortSolutions sorts a solution list in place into the canonical order of
 // CompareMappings and returns it. Applying it at every output boundary makes
 // solution enumeration byte-stable across runs regardless of map iteration
-// order anywhere upstream.
+// order anywhere upstream. Each mapping's comparison data is computed once,
+// and a list already in canonical order is left as it is.
 func SortSolutions(sols []Mapping) []Mapping {
-	sort.SliceStable(sols, func(i, j int) bool {
-		return CompareMappings(sols[i], sols[j]) < 0
-	})
+	keyed := decorate(sols)
+	if slices.IsSortedFunc(keyed, compareKeyed) {
+		return sols
+	}
+	slices.SortStableFunc(keyed, compareKeyed)
+	for i, k := range keyed {
+		sols[i] = k.h
+	}
 	return sols
+}
+
+// keyedMapping is a mapping decorated with its comparison entries.
+type keyedMapping struct {
+	h Mapping
+	e []string
+}
+
+func compareKeyed(a, b keyedMapping) int { return compareEntries(a.e, b.e) }
+
+// decorate pairs every mapping with its entries, all held in one backing
+// array.
+func decorate(sols []Mapping) []keyedMapping {
+	n := 0
+	for _, h := range sols {
+		n += 2 * len(h)
+	}
+	flat := make([]string, 0, n)
+	out := make([]keyedMapping, len(sols))
+	for i, h := range sols {
+		start := len(flat)
+		flat = h.entries(flat)
+		out[i] = keyedMapping{h: h, e: flat[start:len(flat):len(flat)]}
+	}
+	return out
+}
+
+// MergeSolutions merges solution lists that are each in canonical order
+// into one canonically ordered list without duplicates; of equal mappings
+// the one from the earliest list is kept.
+func MergeSolutions(lists ...[]Mapping) []Mapping {
+	keyed := make([][]keyedMapping, 0, len(lists))
+	total := 0
+	for _, l := range lists {
+		keyed = append(keyed, decorate(l))
+		total += len(l)
+	}
+	out := make([]Mapping, 0, total)
+	var last keyedMapping
+	for {
+		best := -1
+		for i, l := range keyed {
+			if len(l) > 0 && (best < 0 || compareKeyed(l[0], keyed[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		k := keyed[best][0]
+		keyed[best] = keyed[best][1:]
+		if len(out) > 0 && compareKeyed(last, k) == 0 {
+			continue
+		}
+		out = append(out, k.h)
+		last = k
+	}
 }
 
 // MappingSet is a set of partial mappings with canonical-key deduplication.
@@ -222,11 +334,16 @@ func (s *MappingSet) All() []Mapping {
 // another member: the restriction used by the maximal-mappings semantics
 // p_m(D) of Section 3.4.
 func (s *MappingSet) Maximal() []Mapping {
-	all := s.All()
+	return MaximalSolutions(s.All())
+}
+
+// MaximalSolutions returns the mappings of sols that are not properly
+// subsumed by another member, in their order in sols.
+func MaximalSolutions(sols []Mapping) []Mapping {
 	var out []Mapping
-	for i, h := range all {
+	for i, h := range sols {
 		dominated := false
-		for j, hp := range all {
+		for j, hp := range sols {
 			if i != j && h.ProperlySubsumedBy(hp) {
 				dominated = true
 				break

@@ -1,6 +1,7 @@
 package cqeval
 
 import (
+	"slices"
 	"sort"
 
 	"wdpt/internal/cq"
@@ -115,6 +116,40 @@ func MeterOf(eng Engine) *guard.Meter {
 	return nil
 }
 
+// relProjector is implemented by the engines whose projecting pipeline
+// ends in ID rows — every plan-based engine of this package; ProjectIDs
+// dispatches through it.
+type relProjector interface {
+	projectRel(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) *varRel
+}
+
+// IDRows is a projection kept in dictionary IDs: N rows of width len(Vars),
+// row-major in Data, aligned with Vars.
+type IDRows struct {
+	Vars []string
+	Data []uint32
+	N    int
+}
+
+// ProjectIDs is eng.Project for callers that continue on IDs: it returns
+// the same rows, in the same order, before their translation to strings.
+// The columns are the projection variables the atoms mention that fixed
+// does not bind, sorted by name (a bound one takes fixed's value in every
+// row). Work counters and guard charges are exactly Project's. ok is false
+// when eng has no ID-native projection (the naive engine, engines from
+// other packages); the caller then uses Project.
+func ProjectIDs(eng Engine, atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) (IDRows, bool) {
+	rp, ok := eng.(relProjector)
+	if !ok {
+		return IDRows{}, false
+	}
+	r := rp.projectRel(atoms, d, fixed, proj)
+	if r == nil {
+		return IDRows{}, true
+	}
+	return IDRows{Vars: r.vars, Data: r.data, N: r.n}, true
+}
+
 // Naive returns the baseline backtracking engine (general CQs, exponential
 // in query size in the worst case).
 func Naive() Engine { return naiveEngine{} }
@@ -220,13 +255,17 @@ func (e yannakakisEngine) Satisfiable(atoms []cq.Atom, d *db.Database, fixed cq.
 }
 
 func (e yannakakisEngine) Project(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
+	return e.projectRel(atoms, d, fixed, proj).mappings(d.Dict(), fixed, proj)
+}
+
+func (e yannakakisEngine) projectRel(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) *varRel {
 	e.st.Inc(obs.CtrProjectCalls)
 	p, ok := prepareJoinTree(atoms, d, fixed, e.st, e.cache, e.pl, e.gm)
 	if !ok {
 		e.st.Inc(obs.CtrFallbacks)
 		return e.fallback().projectRows(atoms, d, fixed, proj)
 	}
-	return p.projectAnswers(proj, fixed)
+	return p.projectRel(proj)
 }
 
 func (e yannakakisEngine) Explain(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) obs.Plan {
@@ -280,17 +319,21 @@ func (e decompEngine) satisfiable(atoms []cq.Atom, d *db.Database, fixed cq.Mapp
 }
 
 func (e decompEngine) Project(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
+	return e.projectRel(atoms, d, fixed, proj).mappings(d.Dict(), fixed, proj)
+}
+
+func (e decompEngine) projectRel(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) *varRel {
 	e.st.Inc(obs.CtrProjectCalls)
 	return e.projectRows(atoms, d, fixed, proj)
 }
 
-// projectRows is the call-counter-free body behind Project.
-func (e decompEngine) projectRows(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
+// projectRows is the call-counter-free body behind projectRel.
+func (e decompEngine) projectRows(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) *varRel {
 	p, ok := prepareDecomposition(atoms, d, fixed, e.st, e.cache, e.pl, e.gm)
 	if !ok {
 		return nil
 	}
-	return p.projectAnswers(proj, fixed)
+	return p.projectRel(proj)
 }
 
 func (e decompEngine) Explain(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) obs.Plan {
@@ -343,6 +386,10 @@ func (e autoEngine) Satisfiable(atoms []cq.Atom, d *db.Database, fixed cq.Mappin
 
 func (e autoEngine) Project(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
 	return e.delegate().Project(atoms, d, fixed, proj)
+}
+
+func (e autoEngine) projectRel(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) *varRel {
+	return e.delegate().projectRel(atoms, d, fixed, proj)
 }
 
 func (e autoEngine) Explain(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) obs.Plan {
@@ -683,10 +730,13 @@ func (p *plan) satisfiable() bool {
 	return p.rels[root].n > 0
 }
 
-// projectAnswers performs the full Yannakakis pipeline: bottom-up reduction,
-// top-down reduction, then a projecting join along the tree. Bindings from
-// fixed for projection variables are merged into every output row.
-func (p *plan) projectAnswers(proj []string, fixed cq.Mapping) []cq.Mapping {
+// projectRel performs the full Yannakakis pipeline: bottom-up reduction,
+// top-down reduction, then a projecting join along the tree. It returns
+// the projection to proj as ID rows, or nil when there is none: the
+// columns are the projection variables the instantiated atoms mention,
+// sorted by name, and the rows are duplicate-free and sorted so that the
+// mappings Project makes of them come out in canonical order.
+func (p *plan) projectRel(proj []string) *varRel {
 	if p.failed {
 		return nil
 	}
@@ -747,29 +797,62 @@ func (p *plan) projectAnswers(proj []string, fixed cq.Mapping) []cq.Mapping {
 		return r.project(keep)
 	}
 	result := answers(root)
-	extra := cq.Mapping{}
+	// The root projection is duplicate-free, its columns are sorted by
+	// name and every row binds every column (bag rows bind all their
+	// variables), so cq.CompareIDRows orders the rows as CompareMappings
+	// orders their mappings — also once mappings add the same fixed
+	// bindings to every row. On a sealed database the rows usually arrive
+	// in that order already.
+	inOrder := true
+	for i := 1; i < result.n && inOrder; i++ {
+		inOrder = cq.CompareIDRows(p.dict, result.row(i-1), result.row(i)) < 0
+	}
+	if inOrder {
+		return result
+	}
+	order := make([]int, result.n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cq.CompareIDRows(p.dict, result.row(a), result.row(b))
+	})
+	sorted := &varRel{vars: result.vars, w: result.w, n: result.n, data: make([]uint32, 0, len(result.data))}
+	for _, i := range order {
+		sorted.data = append(sorted.data, result.row(i)...)
+	}
+	return sorted
+}
+
+// mappings translates a projectRel result into Project's string rows:
+// each row's bindings plus fixed's bindings for projection variables. This
+// is the only place the projecting pipeline touches the dictionary's
+// strings.
+func (r *varRel) mappings(dict *db.Dict, fixed cq.Mapping, proj []string) []cq.Mapping {
+	if r == nil {
+		return nil
+	}
+	var extra []string // variable/value pairs
 	for _, v := range proj {
 		if c, ok := fixed[v]; ok {
-			extra[v] = c
+			extra = append(extra, v, c)
 		}
 	}
-	// Translate the ID rows back to strings: this is the only place the
-	// projecting pipeline touches the dictionary.
-	out := cq.NewMappingSet()
-	for i := 0; i < result.n; i++ {
-		row := result.row(i)
-		merged := make(cq.Mapping, len(result.vars)+len(extra))
-		for k, v := range result.vars {
-			if id := row[k]; id != db.NoID {
-				merged[v] = p.dict.Term(id)
+	out := make([]cq.Mapping, r.n)
+	for i := 0; i < r.n; i++ {
+		row := r.row(i)
+		h := make(cq.Mapping, r.w+len(extra)/2)
+		for j, v := range r.vars {
+			if id := row[j]; id != db.NoID {
+				h[v] = dict.Term(id)
 			}
 		}
-		for k, c := range extra {
-			merged[k] = c
+		for j := 0; j < len(extra); j += 2 {
+			h[extra[j]] = extra[j+1]
 		}
-		out.Add(merged)
+		out[i] = h
 	}
-	return out.All()
+	return out
 }
 
 // topDownReduce semijoins every node with its (already reduced) parent. At

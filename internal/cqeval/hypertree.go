@@ -70,13 +70,17 @@ func (e hypertreeEngine) Satisfiable(atoms []cq.Atom, d *db.Database, fixed cq.M
 }
 
 func (e hypertreeEngine) Project(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
+	return e.projectRel(atoms, d, fixed, proj).mappings(d.Dict(), fixed, proj)
+}
+
+func (e hypertreeEngine) projectRel(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) *varRel {
 	e.st.Inc(obs.CtrProjectCalls)
 	p, _, ok := e.prepare(atoms, d, fixed, e.st, e.pl, e.gm)
 	if !ok {
 		e.st.Inc(obs.CtrFallbacks)
 		return e.fallback().projectRows(atoms, d, fixed, proj)
 	}
-	return p.projectAnswers(proj, fixed)
+	return p.projectRel(proj)
 }
 
 func (e hypertreeEngine) Explain(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) obs.Plan {

@@ -136,20 +136,20 @@ func (u *Union) solveAttempt(ctx context.Context, d *db.Database, mode core.Mode
 			out, merr := u.trees[i].Solve(ctx, d, memberOpts)
 			return memberOut{answers: out.Answers, err: merr}
 		})
-		set := cq.NewMappingSet()
-		for _, out := range outs {
+		lists := make([][]cq.Mapping, len(outs))
+		for i, out := range outs {
 			if out.err != nil {
 				return core.Result{}, out.err
 			}
-			for _, h := range out.answers {
-				set.Add(h)
-			}
+			lists[i] = out.answers
 		}
+		// Member answers arrive in canonical order, so one k-way merge
+		// yields the union in canonical order without re-sorting.
+		answers := cq.MergeSolutions(lists...)
 		if mode == core.ModeMaximal {
-			res = core.Result{Answers: set.Maximal()}
-		} else {
-			res = core.Result{Answers: set.All()}
+			answers = cq.MaximalSolutions(answers)
 		}
+		res = core.Result{Answers: answers}
 		if m.Truncated() {
 			// The shared answer cap fired in some member: keep the merged
 			// partial set, marked Degraded (with the typed error when no
@@ -216,7 +216,9 @@ func (u *Union) resolveEngine(opts core.SolveOptions, st *obs.Stats, m *guard.Me
 func (u *Union) anyMember(ctx context.Context, d *db.Database, opts core.SolveOptions, st *obs.Stats, m *guard.Meter) (bool, error) {
 	memberOpts := opts
 	memberOpts.Engine = u.resolveEngine(opts, st, m)
-	memberOpts.Stats = nil // already wired into the engine
+	// The engine is already wired to st; the members still need it for
+	// their own counters when the engine is not one of cqeval's.
+	memberOpts.Stats = st
 	memberOpts.Budget = guard.Budget{}
 	memberOpts.Fallback = false
 	memberOpts.Meter = m
