@@ -48,9 +48,8 @@
 //	-selfcheck              start on an ephemeral port, probe the API once
 //	                        (health, datasets, one query per dataset, both
 //	                        metrics endpoints), verify each dataset's probe
-//	                        query round-trips byte-identically on both
-//	                        storage backends (docs/STORAGE.md) and through
-//	                        a snapshot save -> load -> query cycle, exit
+//	                        query round-trips byte-identically through a
+//	                        snapshot save -> load -> query cycle, exit
 //	-metrics-out path       with -selfcheck, write the scraped /metrics
 //	                        exposition to this file
 //
@@ -237,9 +236,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *selfcheck {
 		err := selfCheck(fmt.Sprintf("http://%s", ln.Addr()), stdout, *metricsOut)
 		if err == nil {
-			err = backendRoundTrip(reg, stdout)
-		}
-		if err == nil {
 			err = snapshotRoundTrip(reg, stdout)
 		}
 		shutdown(srv, hs, *shutdownTimeout)
@@ -403,57 +399,6 @@ func checkMetrics(ctx context.Context, c *client.Client, queries int, metricsOut
 	return nil
 }
 
-// backendRoundTrip re-evaluates each dataset's probe query on both storage
-// backends — the dataset cloned onto the columnar layout and onto the
-// legacy string-map layout — and requires byte-identical report bodies.
-// It is the storage-equivalence contract of docs/STORAGE.md checked end to
-// end against the operator's real data rather than the test fixtures.
-func backendRoundTrip(reg *server.Registry, stdout io.Writer) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	datasets := reg.List()
-	for _, ds := range datasets {
-		if len(ds.Relations) == 0 {
-			return fmt.Errorf("dataset %q has no probeable relation", ds.Name)
-		}
-		rel := ds.Relations[0]
-		vars := make([]string, rel.Arity)
-		for i := range vars {
-			vars[i] = fmt.Sprintf("?v%d", i+1)
-		}
-		query := fmt.Sprintf("SELECT %s WHERE %s(%s)",
-			strings.Join(vars, " "), rel.Name, strings.Join(vars, ", "))
-		u, err := sparql.ParseUnionQuery(query)
-		if err != nil {
-			return fmt.Errorf("dataset %q: building probe query: %w", ds.Name, err)
-		}
-		var bodies [2][]byte
-		backends := [2]db.Backend{db.BackendColumnar, db.BackendMemory}
-		for i, b := range backends {
-			res, err := u.Solve(ctx, ds.DB.CloneWithBackend(b), core.SolveOptions{
-				Mode:        core.ModeEnumerate,
-				Parallelism: 1,
-			})
-			if err != nil {
-				return fmt.Errorf("dataset %q on backend %s: %w", ds.Name, b, err)
-			}
-			rep := report.Report{Mode: core.ModeEnumerate.String(), Engine: "auto", Parallelism: 1}
-			rep.SetAnswers(res.Answers)
-			var buf bytes.Buffer
-			if err := report.Encode(&buf, rep); err != nil {
-				return fmt.Errorf("dataset %q on backend %s: %w", ds.Name, b, err)
-			}
-			bodies[i] = buf.Bytes()
-		}
-		if !bytes.Equal(bodies[0], bodies[1]) {
-			return fmt.Errorf("dataset %q: backends disagree (%s: %d bytes, %s: %d bytes)",
-				ds.Name, backends[0], len(bodies[0]), backends[1], len(bodies[1]))
-		}
-	}
-	fmt.Fprintf(stdout, "wdptd: selfcheck backend round-trip ok (%d dataset(s), col == mem byte-identical)\n", len(datasets))
-	return nil
-}
-
 // snapshotRoundTrip persists each dataset through the crash-safe snapshot
 // writer into a temporary directory, loads it back through the paranoid
 // loader, and requires the probe query to evaluate byte-identically on the
@@ -487,7 +432,7 @@ func snapshotRoundTrip(reg *server.Registry, stdout io.Writer) error {
 		if err := snapshot.Write(path, ds.DB); err != nil {
 			return fmt.Errorf("dataset %q: saving snapshot: %w", ds.Name, err)
 		}
-		loaded, err := snapshot.Read(path, db.DefaultBackend())
+		loaded, err := snapshot.Read(path)
 		if err != nil {
 			return fmt.Errorf("dataset %q: loading snapshot: %w", ds.Name, err)
 		}

@@ -29,8 +29,8 @@ func TestSelfcheck(t *testing.T) {
 	if !strings.Contains(stdout.String(), "selfcheck ok (2 dataset(s)") {
 		t.Fatalf("stdout = %q, want a selfcheck ok summary", stdout.String())
 	}
-	if !strings.Contains(stdout.String(), "backend round-trip ok (2 dataset(s)") {
-		t.Fatalf("stdout = %q, want a backend round-trip ok line", stdout.String())
+	if !strings.Contains(stdout.String(), "snapshot round-trip ok") {
+		t.Fatalf("stdout = %q, want a snapshot round-trip ok line", stdout.String())
 	}
 }
 

@@ -70,7 +70,6 @@ import (
 	"wdpt/internal/approx"
 	"wdpt/internal/core"
 	"wdpt/internal/cqeval"
-	"wdpt/internal/db"
 	"wdpt/internal/db/snapshot"
 	"wdpt/internal/obs"
 	"wdpt/internal/report"
@@ -371,7 +370,7 @@ func loadDatabaseSource(o options) (*wdpt.Database, error) {
 	case o.snapshot != "" && o.dbFile != "":
 		return nil, fmt.Errorf("-db and -snapshot are mutually exclusive")
 	case o.snapshot != "":
-		d, err := snapshot.Read(o.snapshot, db.DefaultBackend())
+		d, err := snapshot.Read(o.snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("loading snapshot: %w", err)
 		}

@@ -26,11 +26,10 @@
 //	    runtimeMetricNames) is snake_case, globally unique, and — for the
 //	    exposition-facing registries — documented in the
 //	    docs/OBSERVABILITY.md glossary
-//	R15 ID-native kernels: internal/cqeval and internal/core must not call
-//	    the Deprecated db string accessors (Tuples, Matching,
-//	    ActiveDomain), build per-iteration string map keys in loops, or
-//	    compare db.Tuple components in loops — hot paths work on
-//	    dictionary term IDs (see docs/STORAGE.md)
+//	R15 ID-native kernels: internal/cqeval and internal/core must not
+//	    build per-iteration string map keys in loops or compare db.Tuple
+//	    components in loops — hot paths work on dictionary term IDs (see
+//	    docs/STORAGE.md)
 //	R16 crash-safe persistence: inside internal/db and its subpackages,
 //	    the raw file-mutation primitives os.Create, os.WriteFile, and
 //	    os.Rename are forbidden outside the sanctioned crash-safe writer
@@ -210,7 +209,7 @@ var allRules = []ruleSpec{
 	{"R12", "whole-program: time.Now / global rand / unsorted map order must not flow into report, cq, or harness"},
 	{"R13", "whole-program: tuple loops in cqeval/core must reach the guard meter (meterage manifest ratchets)"},
 	{"R14", "internal/obs metric-name registries: snake_case, unique, exposition names documented in the glossary"},
-	{"R15", "cqeval/core kernels stay ID-native: no deprecated db string accessors, per-row string map keys, or Tuple string comparisons in loops"},
+	{"R15", "cqeval/core kernels stay ID-native: no per-row string map keys or Tuple string comparisons in loops"},
 	{"R16", "internal/db must not call os.Create/os.WriteFile/os.Rename outside the crash-safe snapshot writer"},
 	{"R17", "outbound HTTP in cluster/client packages: no http.Get-style helpers, no http.DefaultClient, every http.Client literal sets Timeout"},
 }

@@ -21,6 +21,42 @@ import (
 // The marker lists every rule expected to fire on that line.
 const fixtureDir = "testdata/lintmod"
 
+// chdir switches the working directory to dir for the rest of the test and
+// restores it on cleanup. (testing.T.Chdir needs Go 1.24; the module
+// targets Go 1.22.)
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	prev, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(prev); err != nil {
+			t.Errorf("restoring the working directory: %v", err)
+		}
+	})
+}
+
+// writeModule creates the given files (slash-separated paths relative to
+// the module root) under a fresh temporary directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, body := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // readMarkers collects the expected findings from the fixture sources as
 // "file:line:rule" keys (file paths relative to the fixture module root).
 func readMarkers(t *testing.T) map[string]int {
@@ -206,7 +242,7 @@ func TestFindingsSorted(t *testing.T) {
 // "file:line: [rule] message" line per finding, a clean tree means exit 0,
 // and bad flags mean exit 2.
 func TestRunExitCodes(t *testing.T) {
-	t.Chdir(fixtureDir)
+	chdir(t, fixtureDir)
 	var stdout, stderr bytes.Buffer
 
 	if code := run([]string{"./..."}, &stdout, &stderr); code != 1 {
@@ -300,7 +336,7 @@ func TestListRules(t *testing.T) {
 // TestJSONFindings checks -json: stdout is a JSON array holding exactly the
 // marker findings, machine-readable for CI annotation.
 func TestJSONFindings(t *testing.T) {
-	t.Chdir(fixtureDir)
+	chdir(t, fixtureDir)
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-json", "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("run(-json ./...) = %d, want 1 (stderr: %s)", code, stderr.String())
@@ -369,9 +405,26 @@ func TestBaselineRoundTrip(t *testing.T) {
 // TestBaselineRatchet drives the CLI ratchet end to end: record a baseline,
 // verify the same tree is green against it, then verify both failure modes —
 // stale entries (findings fixed but still listed) and fresh findings (new
-// debt the baseline does not cover).
+// debt the baseline does not cover). It runs on a tiny import-free module
+// with one R1 and one R2 violation, so the five lint runs stay cheap.
 func TestBaselineRatchet(t *testing.T) {
-	t.Chdir(fixtureDir)
+	chdir(t, writeModule(t, map[string]string{
+		"go.mod": "module ratchet\n\ngo 1.22\n",
+		"a/a.go": `package a
+
+// Values collects map values in iteration order.
+func Values(m map[string]int) []int {
+	var out []int
+	for _, v := range m {
+		out = append(out, v)
+	}
+	return out
+}
+
+// Explode panics from a library package.
+func Explode() { panic("boom") }
+`,
+	}))
 	full := filepath.Join(t.TempDir(), "full.json")
 	subset := filepath.Join(t.TempDir(), "subset.json")
 	var stdout, stderr bytes.Buffer
@@ -443,23 +496,13 @@ func TestSelfHost(t *testing.T) {
 // TestNestedModuleSkipped: like go list, "./..." stops at the root of a
 // nested module, whose packages belong to another module.
 func TestNestedModuleSkipped(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
+	dir := writeModule(t, map[string]string{
 		"go.mod":        "module outer\n\ngo 1.22\n",
 		"a/a.go":        "package a\n\n// F does nothing.\nfunc F() {}\n",
 		"inner/go.mod":  "module outer/inner\n\ngo 1.22\n",
 		"inner/i/i.go":  "package i\n\n// F panics.\nfunc F() { panic(\"inner\") }\n",
 		"inner/main.go": "package inner\n\n// G panics.\nfunc G() { panic(\"inner\") }\n",
-	}
-	for name, body := range files {
-		path := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	enabled, err := parseRules("")
 	if err != nil {
 		t.Fatal(err)

@@ -1039,9 +1039,6 @@ func isWaitGroupMethod(fn *types.Func) bool {
 // strings exist only at the load and report boundaries. This rule keeps
 // string work from leaking back into the kernels:
 //
-//   - calling a Deprecated internal/db string accessor (Relation.Tuples,
-//     Relation.Matching, Database.ActiveDomain) materializes or probes
-//     string tuples — kernels must use Scan/At/MatchingIDs/ContainsIDs;
 //   - probing a map[string]-keyed table inside a loop with a key *built*
 //     per iteration (string concatenation, fmt.Sprintf, strings.Join, or a
 //     db/cq Key()-style canonical-string method) allocates one string per
@@ -1074,11 +1071,6 @@ func lintHotPathKeys(l *loader, p *lintPkg, f *ast.File) []Finding {
 		switch v := n.(type) {
 		case *ast.ForStmt, *ast.RangeStmt:
 			loopDepth++
-		case *ast.CallExpr:
-			if name := dbStringAccessor(l, p, v); name != "" {
-				out = append(out, l.finding(v.Pos(), "R15",
-					"call to deprecated db string accessor %s: kernels must stay ID-native (Scan/At/MatchingIDs/ContainsIDs and the relation Dict)", name))
-			}
 		case *ast.IndexExpr:
 			if loopDepth == 0 {
 				break
@@ -1107,25 +1099,6 @@ func lintHotPathKeys(l *loader, p *lintPkg, f *ast.File) []Finding {
 		return true
 	})
 	return out
-}
-
-// dbStringAccessor returns the display name of the deprecated internal/db
-// string accessor the call resolves to, or "".
-func dbStringAccessor(l *loader, p *lintPkg, call *ast.CallExpr) string {
-	fn := calleeFunc(p.info, call)
-	if fn == nil || fn.Pkg() == nil || l.relOf(fn.Pkg().Path()) != "internal/db" {
-		return ""
-	}
-	switch fn.Name() {
-	case "Tuples", "Matching", "ActiveDomain":
-	default:
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	return "db.(" + typeShortName(sig.Recv().Type()) + ")." + fn.Name()
 }
 
 // stringKeyConstruction returns the position of the first per-iteration

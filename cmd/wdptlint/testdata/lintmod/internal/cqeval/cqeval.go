@@ -64,12 +64,6 @@ func SuppressedScan(ms []cq.Mapping) int {
 // The R15 cases: kernels must stay ID-native. Loops below iterate plain
 // string slices (not []db.Tuple / []cq.Mapping) so R13 stays out of frame.
 
-// LegacyTuples calls the deprecated string materializer; R15 fires at the
-// call even outside a loop.
-func LegacyTuples(r *db.Relation) int {
-	return len(r.Tuples()) // want R15
-}
-
 // HotConcatProbe builds a separator-joined string key per row — the exact
 // collision-prone pattern the packed-key idiom replaced.
 func HotConcatProbe(seen map[string]bool, rows [][]string) int {

@@ -206,7 +206,7 @@ func randomMapping(rng *rand.Rand, p *core.PatternTree, d *db.Database) cq.Mappi
 			return h
 		}
 	}
-	adom := d.ActiveDomain()
+	adom := d.Dict().Terms() // sorted: the generated databases are sealed
 	h := cq.Mapping{}
 	for _, x := range free {
 		if rng.Intn(2) == 0 && len(adom) > 0 {

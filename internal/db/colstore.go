@@ -1,23 +1,24 @@
 package db
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 )
 
-// colStore is the columnar backend: rows are stored as per-column []uint32
-// term-ID vectors, membership is tracked by fixed-width packed row keys,
-// and lookups go through lazily built permuted sorted runs — for each
-// position, a permutation of the row offsets sorted by (value at that
-// position, offset), built by counting sort over the dense term IDs
-// together with a run directory indexed directly by ID. MatchingIDs is then
-// two array loads returning a contiguous, insertion-ordered run of offsets,
-// and a join that probes in index order degenerates into a merge over
-// sorted runs. For arity 3 the three permutations are exactly the
-// SPO/POS/OSP access paths of a triple store; for general arity there is
-// one per leading position.
+// colStore holds a relation's rows as per-column []uint32 term-ID vectors.
+// Membership is tracked by fixed-width packed row keys, and lookups go
+// through lazily built permuted sorted runs — for each position, a
+// permutation of the row offsets sorted by (value at that position,
+// offset), built by counting sort over the dense term IDs together with a
+// run directory indexed directly by ID. matchingIDs is then two array
+// loads returning a contiguous, insertion-ordered run of offsets, and a
+// join that probes in index order degenerates into a merge over sorted
+// runs. For arity 3 the three permutations are exactly the SPO/POS/OSP
+// access paths of a triple store; for general arity there is one per
+// leading position.
 //
-// A flat row-major mirror rides along so Scan returns a subslice instead
+// A flat row-major mirror rides along so scan returns a subslice instead
 // of allocating a row per call — scans are the enumeration hot path, and
 // a per-row allocation there costs more than the mirror's memory.
 type colStore struct {
@@ -27,11 +28,11 @@ type colStore struct {
 	rows  []uint32
 	seen  map[string]bool
 	// perms holds the lazily built permuted sorted runs, published
-	// atomically so concurrent readers share one snapshot; Insert drops
+	// atomically so concurrent readers share one snapshot; insert drops
 	// them and the next reader rebuilds from the then-current columns.
 	perms atomic.Pointer[colIndex]
-	// keyBuf is scratch for packing row keys; Insert and Contains are the
-	// only writers and mutation is single-threaded per the Store contract.
+	// keyBuf is scratch for packing row keys; insert is its only user and
+	// mutation is single-threaded per the Relation contract.
 	keyBuf []byte
 }
 
@@ -60,10 +61,9 @@ func newColStore(arity int) *colStore {
 	}
 }
 
-func (s *colStore) Arity() int { return s.arity }
-func (s *colStore) Len() int   { return s.n }
-
-func (s *colStore) Insert(row []uint32) bool {
+// insert adds a row, ignoring exact duplicates, and reports whether it was
+// new. The row is copied; callers may reuse the argument slice.
+func (s *colStore) insert(row []uint32) bool {
 	s.keyBuf = AppendRowKey(s.keyBuf[:0], row)
 	if s.seen[string(s.keyBuf)] {
 		return false
@@ -78,21 +78,24 @@ func (s *colStore) Insert(row []uint32) bool {
 	return true
 }
 
-func (s *colStore) Contains(row []uint32) bool {
-	// Contains is a read operation: pack into a local buffer instead of
+// contains reports whether the exact row is stored.
+func (s *colStore) contains(row []uint32) bool {
+	// contains is a read operation: pack into a local buffer instead of
 	// the single-writer scratch so concurrent readers stay safe.
 	var stack [32]byte
 	key := AppendRowKey(stack[:0], row)
 	return s.seen[string(key)]
 }
 
-func (s *colStore) Scan(i int) []uint32 {
+// scan returns row i in insertion order as a capacity-capped subslice of
+// the row-major mirror.
+func (s *colStore) scan(i int) []uint32 {
 	return s.rows[i*s.arity : (i+1)*s.arity : (i+1)*s.arity]
 }
 
-func (s *colStore) At(i, pos int) uint32 { return s.cols[pos][i] }
-
-func (s *colStore) MatchingIDs(pos int, id uint32) []int {
+// matchingIDs returns the insertion-ordered offsets of the rows whose
+// component at position pos equals id.
+func (s *colStore) matchingIDs(pos int, id uint32) []int {
 	ix := &s.ensurePerms().byPos[pos]
 	if int64(id) >= int64(len(ix.starts))-1 {
 		return nil // beyond the column's maximum value: no run
@@ -146,13 +149,9 @@ func (s *colStore) ensurePerms() *colIndex {
 	return ix
 }
 
-// columns exposes the live column vectors for Relation.Columns. The caller
-// must not modify them.
-func (s *colStore) columns() [][]uint32 { return s.cols }
-
 // bulkLoad replaces the store's contents with nRows rows given in
 // column-major form, copying the column vectors and rebuilding membership
-// in one pass — the snapshot load path, skipping per-row Insert overhead.
+// in one pass — the snapshot load path, skipping per-row insert overhead.
 // Duplicate rows are an error rather than a silent dedup: bulk input comes
 // from a snapshot, where a duplicate means corruption.
 func (s *colStore) bulkLoad(cols [][]uint32, nRows int) error {
@@ -201,4 +200,15 @@ func (s *colStore) remap(m []uint32) {
 	}
 	s.seen = seen
 	s.perms.Store(nil)
+}
+
+// AppendRowKey appends the fixed-width packed encoding of a row (4 bytes
+// big-endian per ID) to dst. Fixed width means distinct rows always pack to
+// distinct keys, even when the underlying constants contain separator
+// bytes.
+func AppendRowKey(dst []byte, row []uint32) []byte {
+	for _, id := range row {
+		dst = binary.BigEndian.AppendUint32(dst, id)
+	}
+	return dst
 }

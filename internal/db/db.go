@@ -4,21 +4,17 @@
 // A Database is a finite set of ground relational atoms (Definition in
 // Section 2 of Barceló & Pichler, PODS 2015). Constants are interned into a
 // database-wide Dict of dense uint32 term IDs, and each Relation holds its
-// rows in a Store — by default the columnar backend (per-column []uint32
-// vectors with permuted sorted indexes), with the legacy string-map layout
-// available as BackendMemory for equivalence testing. Evaluation code works
-// on term IDs end-to-end (At, Scan, MatchingIDs, ContainsIDs) and
-// translates back to strings only at the reporting boundary; the
-// string-facing accessors remain as deprecated adapters. See
-// docs/STORAGE.md for the storage layout and backend contract.
+// rows in a column store (per-column []uint32 vectors with permuted sorted
+// indexes). Evaluation code works on term IDs end-to-end (At, Scan,
+// MatchingIDs, ContainsIDs) and translates back to strings with
+// Dict().Term only at the reporting boundary. See docs/STORAGE.md for the
+// storage layout.
 package db
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"wdpt/internal/guard"
 )
@@ -39,74 +35,41 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
-// key renders the tuple as a canonical byte string used for set
-// membership. Each component is length-prefixed (4 bytes big-endian), so
-// distinct tuples always render to distinct keys even when components
-// contain separator bytes — the historical "\x00"-join encoding collided
-// ("a\x00b","c") with ("a","b\x00c") and silently dropped tuples.
-func (t Tuple) key() string {
-	n := 0
-	for _, c := range t {
-		n += 4 + len(c)
-	}
-	b := make([]byte, 0, n)
-	for _, c := range t {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(c)))
-		b = append(b, c...)
-	}
-	return string(b)
-}
-
 // String renders the tuple as "(a, b, c)".
 func (t Tuple) String() string {
 	return "(" + strings.Join(t, ", ") + ")"
 }
 
 // Relation is a named relation instance: a set of tuples of fixed arity,
-// dictionary-encoded over a Dict and stored in a Store.
+// dictionary-encoded over a Dict and held in a column store.
 //
-// Concurrency: read operations (Contains, Matching, MatchingIDs, Scan, At,
-// Tuples, Len) are safe to call concurrently with each other — lazy
-// indexes are published through atomic pointers, so concurrent readers
-// either share one built index or build equivalent private copies and race
-// benignly to publish one. Insert is NOT safe to call concurrently with
-// reads or other inserts; loading and evaluation are distinct phases.
+// Concurrency: read operations (Contains, MatchingIDs, Scan, At, Len) are
+// safe to call concurrently with each other — the lazy permuted index is
+// published through an atomic pointer, so concurrent readers either share
+// one built index or build equivalent private copies and race benignly to
+// publish one. Insert is NOT safe to call concurrently with reads or other
+// inserts; loading and evaluation are distinct phases.
 type Relation struct {
 	name  string
 	arity int
 	dict  *Dict
-	store Store
-	// at caches the store's optional fast random-access extension so the
-	// hot-path At avoids a per-call interface type assertion; nil when the
-	// store does not implement atter.
-	at atter
-	// legacy caches the materialized string tuples for the deprecated
-	// Tuples accessor, published atomically; Insert invalidates it.
-	legacy atomic.Pointer[[]Tuple]
+	store *colStore
 }
 
 // NewRelation creates an empty standalone relation with the given name and
-// arity, backed by a private dictionary and the default columnar store.
-// Relations inside a Database share the database dictionary instead; use
-// Database.Insert to create those. Arity must be positive.
+// arity, backed by a private dictionary. Relations inside a Database share
+// the database dictionary instead; use Database.Insert to create those.
+// Arity must be positive.
 func NewRelation(name string, arity int) *Relation {
-	return newRelation(name, arity, NewDict(), BackendColumnar)
+	return newRelation(name, arity, NewDict())
 }
 
-func newRelation(name string, arity int, dict *Dict, b Backend) *Relation {
+func newRelation(name string, arity int, dict *Dict) *Relation {
 	if arity <= 0 {
 		//lint:ignore R2 documented contract: arity misuse is a programming error, like a bad make() cap
 		panic(fmt.Sprintf("db: relation %q must have positive arity, got %d", name, arity))
 	}
-	st := newStore(b, dict, arity)
-	at, _ := st.(atter)
-	return &Relation{
-		name:  name,
-		arity: arity,
-		dict:  dict,
-		store: st,
-		at:    at,
-	}
+	return &Relation{name: name, arity: arity, dict: dict, store: newColStore(arity)}
 }
 
 // Name returns the relation symbol.
@@ -116,46 +79,11 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of (distinct) tuples stored.
-func (r *Relation) Len() int { return r.store.Len() }
+func (r *Relation) Len() int { return r.store.n }
 
 // Dict returns the dictionary that encodes this relation's constants. For
 // relations inside a Database it is the shared database dictionary.
 func (r *Relation) Dict() *Dict { return r.dict }
-
-// Store returns the underlying storage. The returned Store must only be
-// used for reads.
-func (r *Relation) Store() Store { return r.store }
-
-// Tuples returns the stored tuples as strings, materializing them from the
-// dictionary on first use. The returned slice must not be modified.
-//
-// Deprecated: evaluation code should iterate rows by ID via Scan/At and
-// translate with Dict().Term at the reporting boundary.
-func (r *Relation) Tuples() []Tuple {
-	if cached := r.legacy.Load(); cached != nil {
-		return *cached
-	}
-	var out []Tuple
-	if st, ok := r.store.(interface{ stringTuples() []Tuple }); ok {
-		out = st.stringTuples()
-	} else {
-		n := r.store.Len()
-		out = make([]Tuple, n)
-		for i := 0; i < n; i++ {
-			row := r.store.Scan(i)
-			t := make(Tuple, len(row))
-			for pos, id := range row {
-				t[pos] = r.dict.Term(id)
-			}
-			out[i] = t
-		}
-	}
-	r.legacy.CompareAndSwap(nil, &out)
-	if cached := r.legacy.Load(); cached != nil {
-		return *cached
-	}
-	return out
-}
 
 // Insert adds a tuple, interning its constants, ignoring exact duplicates.
 // It reports whether the tuple was new. Inserting invalidates indexes,
@@ -170,11 +98,7 @@ func (r *Relation) Insert(t Tuple) bool {
 	for _, c := range t {
 		row = append(row, r.dict.Intern(c))
 	}
-	if !r.store.Insert(row) {
-		return false
-	}
-	r.legacy.Store(nil)
-	return true
+	return r.store.insert(row)
 }
 
 // Contains reports whether the relation holds the given tuple.
@@ -191,7 +115,7 @@ func (r *Relation) Contains(t Tuple) bool {
 		}
 		row = append(row, id)
 	}
-	return r.store.Contains(row)
+	return r.store.contains(row)
 }
 
 // ContainsIDs reports whether the relation holds the given row of term
@@ -206,43 +130,22 @@ func (r *Relation) ContainsIDs(row []uint32) bool {
 			return false
 		}
 	}
-	return r.store.Contains(row)
+	return r.store.contains(row)
 }
 
 // Scan returns row i (0 ≤ i < Len) as term IDs, in insertion order. The
 // returned slice must not be modified.
-func (r *Relation) Scan(i int) []uint32 { return r.store.Scan(i) }
+func (r *Relation) Scan(i int) []uint32 { return r.store.scan(i) }
 
 // At returns row i's component at position pos as a term ID without
 // materializing the row.
-func (r *Relation) At(i, pos int) uint32 {
-	if r.at != nil {
-		return r.at.At(i, pos)
-	}
-	return r.store.Scan(i)[pos]
-}
+func (r *Relation) At(i, pos int) uint32 { return r.store.cols[pos][i] }
 
 // Columns returns the relation's rows in column-major form: out[pos][i] is
-// row i's term ID at position pos. The columnar backend returns its live
-// column vectors; other backends materialize a copy. Either way the result
+// row i's term ID at position pos. These are the live column vectors and
 // must not be modified. This is the export half of the snapshot path —
 // BulkRelation/NewFromColumns is the matching load.
-func (r *Relation) Columns() [][]uint32 {
-	if cs, ok := r.store.(interface{ columns() [][]uint32 }); ok {
-		return cs.columns()
-	}
-	n := r.store.Len()
-	out := make([][]uint32, r.arity)
-	for pos := range out {
-		out[pos] = make([]uint32, n)
-	}
-	for i := 0; i < n; i++ {
-		for pos, id := range r.store.Scan(i) {
-			out[pos][i] = id
-		}
-	}
-	return out
-}
+func (r *Relation) Columns() [][]uint32 { return r.store.cols }
 
 // MatchingIDs returns the offsets, in insertion order, of rows whose
 // component at position pos equals id; id == NoID (an unknown constant)
@@ -256,57 +159,38 @@ func (r *Relation) MatchingIDs(pos int, id uint32) []int {
 	if id >= uint32(r.dict.Len()) {
 		return nil
 	}
-	return r.store.MatchingIDs(pos, id)
+	return r.store.matchingIDs(pos, id)
 }
 
-// Matching returns the offsets of tuples whose component at position pos
-// equals value. The returned slice must not be modified. Safe for
-// concurrent use with other read operations. Like MatchingIDs, the call is
-// a registered fault-injection site (guard.SiteDBMatching).
-//
-// Deprecated: evaluation code should resolve the constant once with
-// Dict().ID and probe by term ID via MatchingIDs.
-func (r *Relation) Matching(pos int, value string) []int {
-	guard.Fault(guard.SiteDBMatching)
-	id, ok := r.dict.ID(value)
-	if !ok {
-		return nil
+// terms returns row i translated back to strings through the dictionary.
+func (r *Relation) terms(i int) Tuple {
+	row := r.store.scan(i)
+	t := make(Tuple, len(row))
+	for pos, id := range row {
+		t[pos] = r.dict.Term(id)
 	}
-	return r.store.MatchingIDs(pos, id)
+	return t
 }
 
 // Database is a finite set of ground relational atoms grouped by relation
 // symbol, sharing one term dictionary. The zero value is not usable;
-// construct with New or NewWithBackend.
+// construct with New.
 //
-// Concurrency: like Relation, read operations (Contains, Relation,
-// ActiveDomain, ...) are safe to call concurrently with each other;
-// Insert, Merge, and Seal are not safe concurrently with anything.
+// Concurrency: like Relation, read operations (Contains, Relation, ...)
+// are safe to call concurrently with each other; Insert, Merge, and Seal
+// are not safe concurrently with anything.
 type Database struct {
-	rels    map[string]*Relation
-	dict    *Dict
-	backend Backend
-	// adom caches the sorted active domain, published atomically so
-	// concurrent readers can share it; Insert invalidates it.
-	adom atomic.Pointer[[]string]
+	rels map[string]*Relation
+	dict *Dict
 }
 
-// New creates an empty database on the process default backend (columnar
-// unless a CLI's -store flag selected the legacy memory layout through
-// SetDefaultBackend).
-func New() *Database { return NewWithBackend(DefaultBackend()) }
-
-// NewWithBackend creates an empty database whose relations use the given
-// storage backend.
-func NewWithBackend(b Backend) *Database {
-	return &Database{rels: make(map[string]*Relation), dict: NewDict(), backend: b}
+// New creates an empty database.
+func New() *Database {
+	return &Database{rels: make(map[string]*Relation), dict: NewDict()}
 }
 
 // Dict returns the database-wide term dictionary.
 func (d *Database) Dict() *Dict { return d.dict }
-
-// Backend returns the storage backend used by this database's relations.
-func (d *Database) Backend() Backend { return d.backend }
 
 // Seal canonicalizes the dictionary — IDs are reassigned in sorted-term
 // order, so comparing IDs orders the same way as comparing strings and two
@@ -320,12 +204,8 @@ func (d *Database) Seal() {
 		return
 	}
 	for _, r := range d.rels {
-		if rm, ok := r.store.(remapper); ok {
-			rm.remap(remap)
-		}
-		r.legacy.Store(nil)
+		r.store.remap(remap)
 	}
-	d.adom.Store(nil)
 }
 
 // Relation returns the relation with the given name, or nil if the database
@@ -354,10 +234,9 @@ func (d *Database) Relations() []*Relation {
 func (d *Database) Insert(rel string, t ...string) bool {
 	r := d.rels[rel]
 	if r == nil {
-		r = newRelation(rel, len(t), d.dict, d.backend)
+		r = newRelation(rel, len(t), d.dict)
 		d.rels[rel] = r
 	}
-	d.adom.Store(nil)
 	return r.Insert(Tuple(t))
 }
 
@@ -379,59 +258,18 @@ func (d *Database) Size() int {
 	return n
 }
 
-// ActiveDomain returns the sorted set of constants occurring in some tuple
-// — exactly the interned terms, since only Insert interns. The returned
-// slice must not be modified. Safe for concurrent use with other read
-// operations.
-//
-// Deprecated: evaluation code should work on term IDs via Dict; after
-// Seal, ID order coincides with the sorted string order returned here.
-func (d *Database) ActiveDomain() []string {
-	if cached := d.adom.Load(); cached != nil {
-		return *cached
-	}
-	terms := d.dict.Terms()
-	out := make([]string, len(terms))
-	copy(out, terms)
-	sort.Strings(out)
-	d.adom.CompareAndSwap(nil, &out)
-	if cached := d.adom.Load(); cached != nil {
-		return *cached
-	}
-	return out
-}
-
-// Clone returns a deep copy of the database on the same backend.
+// Clone returns a deep copy of the database.
 func (d *Database) Clone() *Database {
-	out := NewWithBackend(d.backend)
-	for name, r := range d.rels {
-		for _, t := range r.Tuples() {
-			out.Insert(name, t...)
-		}
-	}
-	return out
-}
-
-// CloneWithBackend returns a deep copy of the database stored on the given
-// backend, sealed so both copies assign identical canonical term IDs. This
-// is the backend-equivalence harness: evaluating the same query on d and on
-// its clone must produce byte-identical answers.
-func (d *Database) CloneWithBackend(b Backend) *Database {
-	out := NewWithBackend(b)
-	for name, r := range d.rels {
-		for _, t := range r.Tuples() {
-			out.Insert(name, t...)
-		}
-	}
-	out.Seal()
+	out := New()
+	out.Merge(d)
 	return out
 }
 
 // Merge inserts every tuple of other into d.
 func (d *Database) Merge(other *Database) {
 	for name, r := range other.rels {
-		for _, t := range r.Tuples() {
-			d.Insert(name, t...)
+		for i := 0; i < r.Len(); i++ {
+			d.Insert(name, r.terms(i)...)
 		}
 	}
 }
@@ -440,8 +278,8 @@ func (d *Database) Merge(other *Database) {
 func (d *Database) String() string {
 	var lines []string
 	for name, r := range d.rels {
-		for _, t := range r.Tuples() {
-			lines = append(lines, name+t.String())
+		for i := 0; i < r.Len(); i++ {
+			lines = append(lines, name+r.terms(i).String())
 		}
 	}
 	sort.Strings(lines)

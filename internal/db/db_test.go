@@ -2,6 +2,7 @@ package db
 
 import (
 	"math/rand"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -43,24 +44,31 @@ func TestZeroArityRelationPanics(t *testing.T) {
 	NewRelation("R", 0)
 }
 
+// matching probes r's index for the string constant c, resolving it
+// through the relation's dictionary the way evaluation code does.
+func matching(r *Relation, pos int, c string) []int {
+	id, _ := r.Dict().ID(c)
+	return r.MatchingIDs(pos, id)
+}
+
 func TestMatchingIndex(t *testing.T) {
 	r := NewRelation("E", 2)
 	r.Insert(Tuple{"a", "b"})
 	r.Insert(Tuple{"a", "c"})
 	r.Insert(Tuple{"b", "c"})
-	if got := len(r.Matching(0, "a")); got != 2 {
-		t.Fatalf("Matching(0,a) = %d rows, want 2", got)
+	if got := len(matching(r, 0, "a")); got != 2 {
+		t.Fatalf("matching(0,a) = %d rows, want 2", got)
 	}
-	if got := len(r.Matching(1, "c")); got != 2 {
-		t.Fatalf("Matching(1,c) = %d rows, want 2", got)
+	if got := len(matching(r, 1, "c")); got != 2 {
+		t.Fatalf("matching(1,c) = %d rows, want 2", got)
 	}
-	if got := len(r.Matching(0, "zzz")); got != 0 {
-		t.Fatalf("Matching(0,zzz) = %d rows, want 0", got)
+	if got := len(matching(r, 0, "zzz")); got != 0 {
+		t.Fatalf("matching(0,zzz) = %d rows, want 0", got)
 	}
 	// Index must be rebuilt after inserts.
 	r.Insert(Tuple{"a", "d"})
-	if got := len(r.Matching(0, "a")); got != 3 {
-		t.Fatalf("after insert Matching(0,a) = %d rows, want 3", got)
+	if got := len(matching(r, 0, "a")); got != 3 {
+		t.Fatalf("after insert matching(0,a) = %d rows, want 3", got)
 	}
 }
 
@@ -81,9 +89,10 @@ func TestDatabaseBasics(t *testing.T) {
 	if d.Contains("X", "a") {
 		t.Fatal("unknown relation should be empty")
 	}
-	adom := d.ActiveDomain()
+	d.Seal()
+	adom := d.Dict().Terms()
 	if len(adom) != 3 || adom[0] != "a" || adom[1] != "b" || adom[2] != "c" {
-		t.Fatalf("ActiveDomain = %v, want [a b c]", adom)
+		t.Fatalf("sealed active domain = %v, want [a b c]", adom)
 	}
 	rels := d.Relations()
 	if len(rels) != 2 || rels[0].Name() != "E" || rels[1].Name() != "V" {
@@ -91,13 +100,20 @@ func TestDatabaseBasics(t *testing.T) {
 	}
 }
 
-func TestActiveDomainInvalidation(t *testing.T) {
+// TestDictTracksInserts checks that the active domain — the dictionary's
+// terms, since only Insert interns — tracks inserts made after a Seal, and
+// that the next Seal restores sorted order.
+func TestDictTracksInserts(t *testing.T) {
 	d := New()
-	d.Insert("E", "a", "b")
-	_ = d.ActiveDomain()
-	d.Insert("E", "c", "d")
-	if got := len(d.ActiveDomain()); got != 4 {
-		t.Fatalf("ActiveDomain after insert = %d constants, want 4", got)
+	d.Insert("E", "b", "c")
+	d.Seal()
+	d.Insert("E", "a", "d")
+	if got := d.Dict().Len(); got != 4 {
+		t.Fatalf("active domain after insert = %d constants, want 4", got)
+	}
+	d.Seal()
+	if got := d.Dict().Terms(); !reflect.DeepEqual(got, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("active domain after reseal = %v, want [a b c d]", got)
 	}
 }
 
@@ -173,12 +189,12 @@ func TestIndexMatchesScan(t *testing.T) {
 		for pos := 0; pos < 3; pos++ {
 			for _, c := range consts {
 				want := 0
-				for _, tp := range r.Tuples() {
-					if tp[pos] == c {
+				for i := 0; i < r.Len(); i++ {
+					if r.Dict().Term(r.Scan(i)[pos]) == c {
 						want++
 					}
 				}
-				if got := len(r.Matching(pos, c)); got != want {
+				if got := len(matching(r, pos, c)); got != want {
 					return false
 				}
 			}
@@ -190,11 +206,11 @@ func TestIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders is the -race regression test for the lazy caches:
+// TestConcurrentReaders is the -race regression test for the lazy index:
 // before the atomic-pointer publication, concurrent readers raced on
-// building Relation.index and Database.adom (Insert set them nil; every
-// reader rebuilt in place). Under `go test -race` this test fails on the
-// old representation and passes on the copy-on-read one.
+// building it (Insert set it nil; every reader rebuilt in place). Under
+// `go test -race` this test fails on the old representation and passes on
+// the copy-on-read one.
 func TestConcurrentReaders(t *testing.T) {
 	d := New()
 	for i := 0; i < 200; i++ {
@@ -209,14 +225,14 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				v := tupleConst((g*13 + i) % 200)
-				if len(r.Matching(0, v)) == 0 {
-					t.Errorf("Matching(0, %s) empty", v)
+				if len(matching(r, 0, v)) == 0 {
+					t.Errorf("matching(0, %s) empty", v)
 				}
 				if !d.Contains("L", v) {
 					t.Errorf("Contains(L, %s) false", v)
 				}
-				if len(d.ActiveDomain()) != 200 {
-					t.Errorf("ActiveDomain size changed")
+				if d.Dict().Len() != 200 {
+					t.Errorf("active domain size changed")
 				}
 			}
 		}(g)
@@ -225,11 +241,11 @@ func TestConcurrentReaders(t *testing.T) {
 
 	// Insert still invalidates: new tuples are visible to the next reader.
 	d.Insert("E", "fresh", "fresh")
-	if len(r.Matching(0, "fresh")) != 1 {
+	if len(matching(r, 0, "fresh")) != 1 {
 		t.Fatal("index not invalidated by Insert")
 	}
-	if got := len(d.ActiveDomain()); got != 201 {
-		t.Fatalf("ActiveDomain = %d constants, want 201", got)
+	if got := d.Dict().Len(); got != 201 {
+		t.Fatalf("active domain = %d constants, want 201", got)
 	}
 }
 

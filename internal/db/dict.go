@@ -7,9 +7,9 @@ import (
 // NoID is the sentinel term ID returned for constants absent from a Dict.
 // It never identifies a stored term: IDs are dense indexes into the
 // dictionary, and the dictionary can never grow to 2^32-1 entries before
-// exhausting memory. Rows never contain NoID, so probing a store with it
-// matches nothing — exactly the behaviour of looking up an unknown string
-// in the legacy map index.
+// exhausting memory. Rows never contain NoID, so probing a relation with
+// it matches nothing — exactly the behaviour of looking up an unknown
+// string.
 const NoID = ^uint32(0)
 
 // Dict interns constants to dense uint32 term IDs. IDs are assigned in

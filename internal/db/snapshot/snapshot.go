@@ -131,10 +131,9 @@ func encodedSizeHint(terms []string, rels []*db.Relation) int {
 	return n
 }
 
-// Decode validates data as a snapshot and rebuilds the database on the
-// given backend. Every failure wraps one of the package's typed sentinels;
+// Decode validates data as a snapshot and rebuilds the database. Every failure wraps one of the package's typed sentinels;
 // Decode never panics on any input, however mangled.
-func Decode(data []byte, b db.Backend) (*db.Database, error) {
+func Decode(data []byte) (*db.Database, error) {
 	if len(data) < len(magic) {
 		if !bytes.HasPrefix([]byte(magic), data) {
 			return nil, fmt.Errorf("snapshot: %w", ErrBadMagic)
@@ -189,18 +188,18 @@ func Decode(data []byte, b db.Backend) (*db.Database, error) {
 		return nil, fmt.Errorf("snapshot: %d trailing bytes after last relation: %w", r.remaining(), ErrFormat)
 	}
 
-	d, err := db.NewFromColumns(b, terms, rels)
+	d, err := db.NewFromColumns(terms, rels)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %v: %w", err, ErrFormat)
 	}
 	return d, nil
 }
 
-// Read loads the snapshot at path onto the given backend. The read is a
+// Read loads the snapshot at path. The read is a
 // fault-injection site (guard.SiteSnapshotRead). File-system errors are
 // returned wrapped (so errors.Is(err, fs.ErrNotExist) still works);
 // content errors carry the package's typed taxonomy.
-func Read(path string, b db.Backend) (*db.Database, error) {
+func Read(path string) (*db.Database, error) {
 	if err := guard.FaultErr(guard.SiteSnapshotRead); err != nil {
 		return nil, fmt.Errorf("snapshot: read %s: %w", path, err)
 	}
@@ -208,7 +207,7 @@ func Read(path string, b db.Backend) (*db.Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read %s: %w", path, err)
 	}
-	d, err := Decode(data, b)
+	d, err := Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -10,31 +10,24 @@ import (
 // TestTupleKeyCollision is the regression test for the historical "\x00"
 // separator hazard: ("a\x00b", "c") and ("a", "b\x00c") used to pack to the
 // same membership key, so the second insert was silently dropped. The
-// length-prefixed legacy key and the fixed-width ID key both distinguish
-// them.
+// fixed-width ID key distinguishes them.
 func TestTupleKeyCollision(t *testing.T) {
-	for _, b := range []Backend{BackendColumnar, BackendMemory} {
-		d := NewWithBackend(b)
-		if !d.Insert("R", "a\x00b", "c") {
-			t.Fatalf("%v: first insert not new", b)
-		}
-		if !d.Insert("R", "a", "b\x00c") {
-			t.Fatalf("%v: colliding insert dropped — separator hazard is back", b)
-		}
-		r := d.Relation("R")
-		if r.Len() != 2 {
-			t.Fatalf("%v: Len = %d, want 2", b, r.Len())
-		}
-		if !d.Contains("R", "a\x00b", "c") || !d.Contains("R", "a", "b\x00c") {
-			t.Fatalf("%v: membership lost a colliding tuple", b)
-		}
-		if d.Contains("R", "a\x00b", "b\x00c") {
-			t.Fatalf("%v: phantom tuple from key aliasing", b)
-		}
+	d := New()
+	if !d.Insert("R", "a\x00b", "c") {
+		t.Fatal("first insert not new")
 	}
-	// The raw Tuple.key must separate them too (the legacy map layout).
-	if (Tuple{"a\x00b", "c"}).key() == (Tuple{"a", "b\x00c"}).key() {
-		t.Fatal("Tuple.key() collides on embedded separators")
+	if !d.Insert("R", "a", "b\x00c") {
+		t.Fatal("colliding insert dropped — separator hazard is back")
+	}
+	r := d.Relation("R")
+	if r.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", r.Len())
+	}
+	if !d.Contains("R", "a\x00b", "c") || !d.Contains("R", "a", "b\x00c") {
+		t.Fatal("membership lost a colliding tuple")
+	}
+	if d.Contains("R", "a\x00b", "b\x00c") {
+		t.Fatal("phantom tuple from key aliasing")
 	}
 }
 
@@ -81,138 +74,165 @@ func TestDictInternAndLookup(t *testing.T) {
 // order regardless of insertion order, remaps the stored rows consistently,
 // and is idempotent.
 func TestSealCanonicalizes(t *testing.T) {
-	for _, b := range []Backend{BackendColumnar, BackendMemory} {
-		d := NewWithBackend(b)
-		d.Insert("E", "zeta", "mu")
-		d.Insert("E", "alpha", "zeta")
-		d.Seal()
-		dict := d.Dict()
-		if !sort.StringsAreSorted(dict.Terms()) {
-			t.Fatalf("%v: dict not sorted after Seal: %v", b, dict.Terms())
-		}
-		r := d.Relation("E")
-		if !d.Contains("E", "zeta", "mu") || !d.Contains("E", "alpha", "zeta") {
-			t.Fatalf("%v: rows lost in remap", b)
-		}
-		id, _ := dict.ID("zeta")
-		if got := len(r.MatchingIDs(0, id)); got != 1 {
-			t.Fatalf("%v: MatchingIDs(0, zeta) = %d rows, want 1", b, got)
-		}
-		before := dict.Terms()
-		d.Seal() // idempotent: already sorted, nothing moves
-		if !reflect.DeepEqual(before, dict.Terms()) {
-			t.Fatalf("%v: second Seal changed the dictionary", b)
-		}
-		if !d.Contains("E", "alpha", "zeta") {
-			t.Fatalf("%v: second Seal broke membership", b)
-		}
+	d := New()
+	d.Insert("E", "zeta", "mu")
+	d.Insert("E", "alpha", "zeta")
+	d.Seal()
+	dict := d.Dict()
+	if !sort.StringsAreSorted(dict.Terms()) {
+		t.Fatalf("dict not sorted after Seal: %v", dict.Terms())
+	}
+	r := d.Relation("E")
+	if !d.Contains("E", "zeta", "mu") || !d.Contains("E", "alpha", "zeta") {
+		t.Fatal("rows lost in remap")
+	}
+	id, _ := dict.ID("zeta")
+	if got := len(r.MatchingIDs(0, id)); got != 1 {
+		t.Fatalf("MatchingIDs(0, zeta) = %d rows, want 1", got)
+	}
+	before := dict.Terms()
+	d.Seal() // idempotent: already sorted, nothing moves
+	if !reflect.DeepEqual(before, dict.Terms()) {
+		t.Fatal("second Seal changed the dictionary")
+	}
+	if !d.Contains("E", "alpha", "zeta") {
+		t.Fatal("second Seal broke membership")
 	}
 }
 
-// TestMatchingIDsInsertionOrder pins the Store contract: offsets come back
-// in insertion order on both backends, including after an index-invalidating
-// insert.
+// TestMatchingIDsInsertionOrder pins the index contract: offsets come back
+// in insertion order, including after an index-invalidating insert.
 func TestMatchingIDsInsertionOrder(t *testing.T) {
-	for _, b := range []Backend{BackendColumnar, BackendMemory} {
-		d := NewWithBackend(b)
-		d.Insert("E", "a", "x")
-		d.Insert("E", "b", "y")
-		d.Insert("E", "a", "z")
-		r := d.Relation("E")
-		id, _ := d.Dict().ID("a")
-		if got := r.MatchingIDs(0, id); !reflect.DeepEqual(got, []int{0, 2}) {
-			t.Fatalf("%v: MatchingIDs = %v, want [0 2]", b, got)
-		}
-		d.Insert("E", "a", "w")
-		if got := r.MatchingIDs(0, id); !reflect.DeepEqual(got, []int{0, 2, 3}) {
-			t.Fatalf("%v: after insert MatchingIDs = %v, want [0 2 3]", b, got)
-		}
-		// Probing with NoID or an out-of-range ID matches nothing — the
-		// ID-level analogue of an unknown constant.
-		if len(r.MatchingIDs(1, NoID)) != 0 {
-			t.Fatalf("%v: NoID probe matched rows", b)
-		}
-		if r.ContainsIDs([]uint32{NoID, 0}) {
-			t.Fatalf("%v: ContainsIDs(NoID, ...) = true", b)
-		}
+	d := New()
+	d.Insert("E", "a", "x")
+	d.Insert("E", "b", "y")
+	d.Insert("E", "a", "z")
+	r := d.Relation("E")
+	id, _ := d.Dict().ID("a")
+	if got := r.MatchingIDs(0, id); !reflect.DeepEqual(got, []int{0, 2}) {
+		t.Fatalf("MatchingIDs = %v, want [0 2]", got)
+	}
+	d.Insert("E", "a", "w")
+	if got := r.MatchingIDs(0, id); !reflect.DeepEqual(got, []int{0, 2, 3}) {
+		t.Fatalf("after insert MatchingIDs = %v, want [0 2 3]", got)
+	}
+	// Probing with NoID or an out-of-range ID matches nothing — the
+	// ID-level analogue of an unknown constant.
+	if len(r.MatchingIDs(1, NoID)) != 0 {
+		t.Fatal("NoID probe matched rows")
+	}
+	if r.ContainsIDs([]uint32{NoID, 0}) {
+		t.Fatal("ContainsIDs(NoID, ...) = true")
 	}
 }
 
-func TestParseBackend(t *testing.T) {
-	cases := map[string]Backend{
-		"col": BackendColumnar, "columnar": BackendColumnar,
-		"mem": BackendMemory, "memory": BackendMemory,
-	}
-	for s, want := range cases {
-		got, err := ParseBackend(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseBackend(%q) = %v, %v", s, got, err)
-		}
-		if got.String() != cases[s].String() {
-			t.Fatalf("round-trip mismatch for %q", s)
-		}
-	}
-	if _, err := ParseBackend("postgres"); err == nil {
-		t.Fatal("ParseBackend should reject unknown names")
-	}
+// rowModel is the test-local reference for a relation: the distinct rows
+// in insertion order plus the set of their packed keys, with index probes
+// answered by linear scan. It interns constants into its own numbering, so
+// it shares no state with the dictionary or the column store under test.
+type rowModel struct {
+	ids  map[string]uint32
+	rows []Tuple
+	keys map[string]bool
 }
 
-// TestStoreBackendsEquivalent drives the same random workload into both
-// backends and checks every read surface agrees: string membership, ID
-// membership, index probes (both string and ID forms), scans, and the
-// active domain.
-func TestStoreBackendsEquivalent(t *testing.T) {
+func newRowModel() *rowModel {
+	return &rowModel{ids: map[string]uint32{}, keys: map[string]bool{}}
+}
+
+func (m *rowModel) key(t Tuple) string {
+	var row []uint32
+	for _, c := range t {
+		id, ok := m.ids[c]
+		if !ok {
+			id = uint32(len(m.ids))
+			m.ids[c] = id
+		}
+		row = append(row, id)
+	}
+	return string(AppendRowKey(nil, row))
+}
+
+func (m *rowModel) insert(t Tuple) bool {
+	k := m.key(t)
+	if m.keys[k] {
+		return false
+	}
+	m.keys[k] = true
+	m.rows = append(m.rows, t)
+	return true
+}
+
+func (m *rowModel) contains(t Tuple) bool { return m.keys[m.key(t)] }
+
+func (m *rowModel) matching(pos int, c string) []int {
+	var out []int
+	for i, t := range m.rows {
+		if t[pos] == c {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestStoreMatchesModel drives a random workload, separator-colliding
+// constants included, into a relation and into rowModel, and checks every
+// read surface agrees before and after Seal renumbers the rows: insert
+// newness, Len, Scan, MatchingIDs, Contains and ContainsIDs.
+func TestStoreMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	consts := []string{"a", "b", "c", "d", "e\x00f", ""}
-	col := NewWithBackend(BackendColumnar)
-	mem := NewWithBackend(BackendMemory)
+	consts := []string{"a", "b", "c", "d", "e\x00f", "e", "\x00f", ""}
+	pick := func() Tuple {
+		return Tuple{consts[rng.Intn(len(consts))], consts[rng.Intn(len(consts))], consts[rng.Intn(len(consts))]}
+	}
+	d, m := New(), newRowModel()
 	for i := 0; i < 300; i++ {
-		t3 := []string{
-			consts[rng.Intn(len(consts))],
-			consts[rng.Intn(len(consts))],
-			consts[rng.Intn(len(consts))],
-		}
-		if col.Insert("T", t3...) != mem.Insert("T", t3...) {
-			t.Fatalf("insert newness disagrees on %q", t3)
+		t3 := pick()
+		if got, want := d.Insert("T", t3...), m.insert(t3); got != want {
+			t.Fatalf("insert %q: new = %v, model says %v", t3, got, want)
 		}
 	}
-	col.Seal()
-	mem.Seal()
-	rc, rm := col.Relation("T"), mem.Relation("T")
-	if rc.Len() != rm.Len() {
-		t.Fatalf("Len: col=%d mem=%d", rc.Len(), rm.Len())
-	}
-	if !reflect.DeepEqual(col.ActiveDomain(), mem.ActiveDomain()) {
-		t.Fatalf("ActiveDomain disagrees")
-	}
-	for i := 0; i < rc.Len(); i++ {
-		if !reflect.DeepEqual(rc.Scan(i), rm.Scan(i)) {
-			t.Fatalf("Scan(%d): col=%v mem=%v", i, rc.Scan(i), rm.Scan(i))
+	check := func(stage string) {
+		r := d.Relation("T")
+		dict := d.Dict()
+		if r.Len() != len(m.rows) {
+			t.Fatalf("%s: Len = %d, model holds %d", stage, r.Len(), len(m.rows))
 		}
-	}
-	for pos := 0; pos < 3; pos++ {
-		for _, c := range consts {
-			if !reflect.DeepEqual(rc.Matching(pos, c), rm.Matching(pos, c)) {
-				t.Fatalf("Matching(%d, %q) disagrees", pos, c)
+		for i, want := range m.rows {
+			got := make(Tuple, 0, 3)
+			for _, id := range r.Scan(i) {
+				got = append(got, dict.Term(id))
 			}
-			id, ok := col.Dict().ID(c)
-			if !ok {
-				continue
-			}
-			got, want := rc.MatchingIDs(pos, id), rm.MatchingIDs(pos, id)
-			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("MatchingIDs(%d, %d) col=%v mem=%v", pos, id, got, want)
+			if !got.Equal(want) {
+				t.Fatalf("%s: Scan(%d) = %q, model row %q", stage, i, got, want)
 			}
 		}
-	}
-	for i := 0; i < 50; i++ {
-		probe := Tuple{
-			consts[rng.Intn(len(consts))],
-			consts[rng.Intn(len(consts))],
-			consts[rng.Intn(len(consts))],
+		for pos := 0; pos < 3; pos++ {
+			for _, c := range consts {
+				id, _ := dict.ID(c)
+				got, want := r.MatchingIDs(pos, id), m.matching(pos, c)
+				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("%s: MatchingIDs(%d, %q) = %v, model %v", stage, pos, c, got, want)
+				}
+			}
 		}
-		if col.Contains("T", probe...) != mem.Contains("T", probe...) {
-			t.Fatalf("Contains(%q) disagrees", probe)
+		for i := 0; i < 100; i++ {
+			probe := pick()
+			want := m.contains(probe)
+			if got := d.Contains("T", probe...); got != want {
+				t.Fatalf("%s: Contains(%q) = %v, model %v", stage, probe, got, want)
+			}
+			var row []uint32
+			for _, c := range probe {
+				id, _ := dict.ID(c)
+				row = append(row, id)
+			}
+			if got := r.ContainsIDs(row); got != want {
+				t.Fatalf("%s: ContainsIDs(%q) = %v, model %v", stage, probe, got, want)
+			}
 		}
 	}
+	check("unsealed")
+	d.Seal()
+	check("sealed")
 }

@@ -145,9 +145,10 @@ func TestLayeredDatabase(t *testing.T) {
 		t.Fatal("first vertex missing")
 	}
 	// Edges only go forward: no edge into layer 0.
-	for _, tp := range d.Relation("E").Tuples() {
-		if tp[1][:2] == "L0" {
-			t.Fatalf("backward edge %v", tp)
+	e := d.Relation("E")
+	for i := 0; i < e.Len(); i++ {
+		if dst := d.Dict().Term(e.At(i, 1)); dst[:2] == "L0" {
+			t.Fatalf("backward edge into %s", dst)
 		}
 	}
 	// Deterministic.
@@ -158,9 +159,11 @@ func TestLayeredDatabase(t *testing.T) {
 
 func TestBipartiteDatabaseAcyclic(t *testing.T) {
 	d := BipartiteDatabase(5, 3, 2)
-	for _, tp := range d.Relation("E").Tuples() {
-		if tp[0][0] != 'l' || tp[1][0] != 'r' {
-			t.Fatalf("non-bipartite edge %v", tp)
+	e := d.Relation("E")
+	for i := 0; i < e.Len(); i++ {
+		src, dst := d.Dict().Term(e.At(i, 0)), d.Dict().Term(e.At(i, 1))
+		if src[0] != 'l' || dst[0] != 'r' {
+			t.Fatalf("non-bipartite edge (%s, %s)", src, dst)
 		}
 	}
 }

@@ -202,8 +202,8 @@ const (
 	// active domain; such constants provably match nothing.
 	CtrDictMisses
 	// CtrIndexProbes counts MatchingIDs index probes issued by the
-	// homomorphism solver (binary searches on the columnar backend, hash
-	// probes on the legacy one).
+	// homomorphism solver (two array loads into a permuted index's run
+	// directory).
 	CtrIndexProbes
 	// CtrIndexProbeRows counts the total offsets returned by those probes.
 	CtrIndexProbeRows

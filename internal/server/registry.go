@@ -19,7 +19,7 @@ import (
 
 // ColumnInfo summarizes one column of a relation in the /v1/datasets
 // listing: its position and the number of distinct terms it holds — the
-// per-column selectivity the columnar backend's permuted indexes exploit
+// per-column selectivity the column store's permuted indexes exploit
 // (docs/STORAGE.md).
 type ColumnInfo struct {
 	// Pos is the zero-based column position.
@@ -60,9 +60,6 @@ type Dataset struct {
 	// DictTerms is the size of the dataset's term dictionary — the number
 	// of distinct constants interned across all relations.
 	DictTerms int `json:"dict_terms"`
-	// Backend names the storage backend the snapshot is stored on
-	// ("col" or "mem").
-	Backend string `json:"backend"`
 	// LoadNS is the wall-clock time spent parsing and loading this
 	// snapshot (reading the file, inserting, sealing, and summarizing).
 	LoadNS int64 `json:"load_ns"`
@@ -193,7 +190,7 @@ func (r *Registry) loadOne(name string, version int64) (*Dataset, error) {
 	source := "text"
 	if r.snapDir != "" {
 		sp := r.snapshotPath(name)
-		sd, err := snapshot.Read(sp, db.DefaultBackend())
+		sd, err := snapshot.Read(sp)
 		switch {
 		case err == nil:
 			d, source = sd, "snapshot"
@@ -229,7 +226,6 @@ func (r *Registry) loadOne(name string, version int64) (*Dataset, error) {
 		Path:      path,
 		Atoms:     d.Size(),
 		DictTerms: d.Dict().Len(),
-		Backend:   d.Backend().String(),
 		Rows:      rows,
 		Relations: rels,
 		DB:        d,

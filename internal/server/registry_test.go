@@ -49,7 +49,7 @@ func TestRegistryLoadAndList(t *testing.T) {
 	}
 }
 
-// TestRegistryStorageStats pins the dictionary-size, backend, load-timing,
+// TestRegistryStorageStats pins the dictionary-size, load-timing,
 // and per-column distinct-term summaries the /v1/datasets listing and the
 // /metrics.json storage gauges are built from.
 func TestRegistryStorageStats(t *testing.T) {
@@ -65,9 +65,6 @@ func TestRegistryStorageStats(t *testing.T) {
 	// Distinct constants: Swim, Suns, Caribou, 2.
 	if ds.DictTerms != 4 {
 		t.Fatalf("DictTerms = %d, want 4", ds.DictTerms)
-	}
-	if ds.Backend != ds.DB.Backend().String() {
-		t.Fatalf("Backend = %q, want %q", ds.Backend, ds.DB.Backend().String())
 	}
 	if ds.LoadNS <= 0 {
 		t.Fatalf("LoadNS = %d, want > 0", ds.LoadNS)

@@ -266,15 +266,16 @@ func formatTerm(t cq.Term) string {
 // trips exactly: ParseDatabase(FormatDatabase(d)) equals d.
 func FormatDatabase(d *db.Database) string {
 	var b strings.Builder
+	dict := d.Dict()
 	for _, r := range d.Relations() {
-		for _, tp := range r.Tuples() {
+		for row := 0; row < r.Len(); row++ {
 			b.WriteString(r.Name())
 			b.WriteByte('(')
-			for i, c := range tp {
+			for i, id := range r.Scan(row) {
 				if i > 0 {
 					b.WriteString(", ")
 				}
-				b.WriteString(formatTerm(cq.C(c)))
+				b.WriteString(formatTerm(cq.C(dict.Term(id))))
 			}
 			b.WriteString(").\n")
 		}
