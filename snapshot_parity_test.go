@@ -48,7 +48,8 @@ func TestSnapshotParity(t *testing.T) {
 		}
 		all, _ := oracle(c.p, loaded)
 		for _, par := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/p%d", c.name, par), func(t *testing.T) {
+			// "col" names the column store the snapshot is decoded into.
+			t.Run(fmt.Sprintf("%s/col/p%d", c.name, par), func(t *testing.T) {
 				mkOpts := func() wdpt.SolveOptions {
 					return wdpt.SolveOptions{
 						Mode:        wdpt.ModeEnumerate,
